@@ -42,11 +42,6 @@ impl Args {
     pub fn get_u64(&self, key: &str, default: u64) -> u64 {
         self.values.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
     }
-
-    /// String argument with default.
-    pub fn get_str(&self, key: &str, default: &str) -> String {
-        self.values.get(key).cloned().unwrap_or_else(|| default.to_string())
-    }
 }
 
 #[cfg(test)]
@@ -56,14 +51,11 @@ mod tests {
     #[test]
     fn parses_typed_values() {
         let args = Args::from_args(
-            ["scale=0.5", "folds=3", "seed=42", "name=digg", "garbage"]
-                .into_iter()
-                .map(String::from),
+            ["scale=0.5", "folds=3", "seed=42", "garbage"].into_iter().map(String::from),
         );
         assert_eq!(args.get_f64("scale", 1.0), 0.5);
         assert_eq!(args.get_usize("folds", 5), 3);
         assert_eq!(args.get_u64("seed", 0), 42);
-        assert_eq!(args.get_str("name", "x"), "digg");
         assert_eq!(args.get_usize("missing", 7), 7);
     }
 

@@ -1,10 +1,9 @@
 //! # tcam-bench
 //!
 //! Shared infrastructure for the report binaries in `src/bin/` (one per
-//! paper table/figure — see `DESIGN.md` §5) and the Criterion benches in
-//! `benches/`: a model-suite builder that fits all eight compared models
-//! on a training cuboid, lightweight CLI argument parsing, and text
-//! table rendering.
+//! paper table/figure — see `DESIGN.md` §5): a model-suite builder that
+//! fits all eight compared models on a training cuboid, lightweight CLI
+//! argument parsing, and text table rendering.
 
 // Lint policy: `!(x > 0.0)` is used deliberately throughout to treat
 // NaN as invalid (a plain `x <= 0.0` would accept NaN); indexed loops in

@@ -83,16 +83,6 @@ pub fn mean_query_work<S: FactoredScorer>(
     (examined as f64 / n, skipped as f64 / n)
 }
 
-/// Mean items examined by the block-max kernel over a set of queries.
-pub fn mean_items_examined<S: FactoredScorer>(
-    scorer: &S,
-    index: &TaIndex,
-    queries: &[(UserId, TimeId)],
-    k: usize,
-) -> f64 {
-    mean_query_work(scorer, index, queries, k).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,7 +115,7 @@ mod tests {
         assert!(examined > 0.0);
         assert!(examined <= model.num_items() as f64);
         assert!(skipped <= index.num_blocks() as f64);
-        assert_eq!(mean_items_examined(&model, &index, &queries, 5), examined);
+        assert_eq!(mean_query_work(&model, &index, &queries, 5), (examined, skipped));
     }
 
     #[test]
@@ -135,7 +125,7 @@ mod tests {
             FitConfig::default().with_user_topics(3).with_time_topics(2).with_iterations(2);
         let model = TtcamModel::fit(&data.cuboid, &config).unwrap().model;
         let index = TaIndex::build(&model);
-        assert_eq!(mean_items_examined(&model, &index, &[], 5), 0.0);
+        assert_eq!(mean_query_work(&model, &index, &[], 5), (0.0, 0.0));
         let _ = time_brute_force(&model, &[], 5);
     }
 }

@@ -36,4 +36,4 @@ pub use cache::{CacheKey, TopKCache};
 pub use engine::{FoldedScorer, Query, Response, ScoringMode, ServeConfig, ServeEngine, Source};
 pub use scratch::{Scratch, ScratchGuard, ScratchPool};
 pub use snapshot::ModelSnapshot;
-pub use stats::{LatencyHistogram, Log2Histogram, ServingStats, StatsRecorder};
+pub use stats::{Log2Histogram, ServingStats, StatsRecorder};

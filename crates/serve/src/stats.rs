@@ -23,10 +23,6 @@ pub struct Log2Histogram {
     buckets: [AtomicU64; BUCKETS],
 }
 
-/// The pre-rewrite name; latency was the only histogrammed quantity
-/// before the query-kernel counters landed.
-pub type LatencyHistogram = Log2Histogram;
-
 impl Default for Log2Histogram {
     fn default() -> Self {
         Log2Histogram { buckets: std::array::from_fn(|_| AtomicU64::new(0)) }
