@@ -98,10 +98,9 @@ impl TtcamModel {
                 let p1 = w1 * a_sum;
                 let p0 = w0 * context[i];
                 let denom = lam_b * bg[i] + p1 + p0;
-                if denom <= 0.0 {
+                let Some(inv) = crate::em::responsibility(r.value, denom) else {
                     continue;
-                }
-                let inv = r.value / denom;
+                };
                 if a_sum > 0.0 {
                     vecops::scaled_add(&mut theta_num, &a, inv * w1);
                 }

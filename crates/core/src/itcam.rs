@@ -10,22 +10,20 @@
 //! The likelihood of a rating is Eq. 1 with `P(v|theta_u)` expanded by
 //! Eq. 2, and the EM updates are Eqs. 4–11.
 //!
-//! The training kernel shares its plumbing with TTCAM (DESIGN.md §11):
-//! a data-dependent shard plan, disjoint per-user statistic windows,
-//! reusable per-shard [`EmScratch`], and a deterministic merge tree, so
-//! the fit is allocation-free per iteration and bitwise reproducible for
-//! any `num_threads`. ITCAM's one model-specific wrinkle is the `T x V`
-//! temporal numerator (Eq. 10): instead of giving every shard its own
-//! dense `T x V` copy (which would dwarf the E-step work on sparse
-//! data), shards record each entry's context posterior mass `c * post0`
-//! into disjoint windows of one `nnz`-length buffer, and a single
+//! The fit runs on the EM scaffold shared with TTCAM (`em::fit`,
+//! DESIGN.md §11): allocation-free per iteration and bitwise
+//! reproducible for any `num_threads`. ITCAM supplies only its
+//! temporal context, whose one wrinkle is the `T x V` numerator
+//! (Eq. 10): instead of giving every shard its own dense `T x V` copy
+//! (which would dwarf the E-step work on sparse data), each entry
+//! records its context posterior mass `c * post0` and a single
 //! entry-order scatter pass builds the numerator afterwards.
 
-use crate::config::{FitConfig, FitResult, FitTrace};
-use crate::em::{self, MergeStats};
-use crate::parallel::run_tasks;
-use crate::{ModelError, Result};
+use crate::config::{FitConfig, FitResult};
+use crate::em::{self, TemporalContext};
+use crate::Result;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use tcam_data::{RatingCuboid, TimeId, UserId};
 use tcam_math::{vecops, Matrix, Pcg64};
 
@@ -47,29 +45,43 @@ pub struct ItcamModel {
     background_weight: f64,
 }
 
-/// Reusable per-shard E-step scratch. Allocated once per fit and zeroed —
-/// never reallocated — between iterations.
-struct EmScratch {
-    /// `V x K1` numerators for Eq. 9.
-    phi_item_num: Matrix,
-    log_likelihood: f64,
+/// ITCAM's temporal context during EM: `theta'_t` and its Eq. 10
+/// numerator, both `T x V`.
+struct ItemContext {
+    theta_t: Matrix,
+    theta_t_num: Matrix,
 }
 
-impl EmScratch {
-    fn new(v_dim: usize, k1: usize) -> Self {
-        EmScratch { phi_item_num: Matrix::zeros(v_dim, k1), log_likelihood: 0.0 }
+impl TemporalContext for ItemContext {
+    // tcam-lint: hot
+    fn contexts<'a>(
+        &'a self,
+        cuboid: &'a RatingCuboid,
+        entries: Range<usize>,
+    ) -> impl Iterator<Item = f64> + 'a {
+        let theta_t = &self.theta_t;
+        cuboid.entries()[entries].iter().map(move |r| theta_t.get(r.time.index(), r.item.index()))
     }
 
-    fn reset(&mut self) {
-        self.phi_item_num.as_mut_slice().fill(0.0);
-        self.log_likelihood = 0.0;
+    /// The entry's context posterior mass, `inv * p0`.
+    #[inline]
+    fn entry_weight(inv: f64, w0: f64, b: f64) -> f64 {
+        inv * (w0 * b)
     }
-}
 
-impl MergeStats for EmScratch {
-    fn merge_from(&mut self, other: &Self) {
-        self.phi_item_num.add_assign(&other.phi_item_num).expect("equal shapes");
-        self.log_likelihood += other.log_likelihood;
+    /// Entry-order scatter of the context posteriors into the Eq. 10
+    /// numerator.
+    // tcam-lint: hot
+    fn rebuild(&mut self, cuboid: &RatingCuboid, weights: &[f64]) {
+        self.theta_t_num.as_mut_slice().fill(0.0);
+        for (r, &p) in cuboid.entries().iter().zip(weights) {
+            self.theta_t_num.add_at(r.time.index(), r.item.index(), p);
+        }
+    }
+
+    // tcam-lint: hot
+    fn m_step(&mut self) {
+        em::normalize_rows(&self.theta_t_num, &mut self.theta_t);
     }
 }
 
@@ -84,10 +96,7 @@ impl ItcamModel {
     /// result: traces and parameters are bitwise identical across thread
     /// counts.
     pub fn fit(cuboid: &RatingCuboid, config: &FitConfig) -> Result<FitResult<Self>> {
-        config.validate()?;
-        if cuboid.nnz() == 0 {
-            return Err(ModelError::BadData("cuboid has no ratings"));
-        }
+        em::check_inputs(cuboid, config)?;
         let n = cuboid.num_users();
         let t_dim = cuboid.num_times();
         let v_dim = cuboid.num_items();
@@ -96,161 +105,24 @@ impl ItcamModel {
         let mut rng = Pcg64::new(config.seed);
         let mut theta = Matrix::zeros(n, k1);
         em::random_rows(&mut theta, &mut rng);
-        // Work layout: item-major `phi_item[v][z]` so the per-entry inner
-        // loop reads one contiguous row per rating.
-        let mut phi_item = em::init_item_major(v_dim, k1, &mut rng);
+        let phi_item = em::init_item_major(v_dim, k1, &mut rng);
         let mut theta_t = Matrix::zeros(t_dim, v_dim);
         em::random_rows(&mut theta_t, &mut rng);
-        let mut lambda = vec![config.initial_lambda; n];
-        let lam_b = config.background_weight;
-        let mut background = vec![0.0; v_dim];
-        for r in cuboid.entries() {
-            background[r.item.index()] += r.value;
-        }
-        vecops::normalize_in_place(&mut background);
-
-        // All training-loop buffers are allocated here, once.
-        let shards = em::em_shard_plan(cuboid);
-        let mut user_stats = em::UserStats::zeros(n, k1);
-        let mut scratch: Vec<EmScratch> =
-            shards.iter().map(|_| EmScratch::new(v_dim, k1)).collect();
-        let mut theta_t_num = Matrix::zeros(t_dim, v_dim);
-        let mut post0 = vec![0.0; cuboid.nnz()];
-        let mut col_scratch = vec![0.0; k1];
-
-        let mut trace: Vec<FitTrace> = Vec::with_capacity(config.max_iterations);
-        let mut converged = false;
-
-        for iteration in 0..config.max_iterations {
-            user_stats.reset();
-            for s in scratch.iter_mut() {
-                s.reset();
-            }
-            {
-                let theta = &theta;
-                let phi_item = &phi_item;
-                let theta_t = &theta_t;
-                let lambda = &lambda[..];
-                let background = &background[..];
-                if config.num_threads <= 1 {
-                    // Serial dispatch: the same shards in the same
-                    // order, without materializing the task list — warm
-                    // iterations stay allocation-free (asserted by
-                    // `tests/zero_alloc.rs`). Each shard still owns the
-                    // window of `post0` covering its users' entries,
-                    // carved off progressively.
-                    let mut rest = post0.as_mut_slice();
-                    let mut consumed = 0usize;
-                    let mut shard_scratch = scratch.iter_mut();
-                    user_stats.for_each_view(&shards, |users, mut view| {
-                        let entries = cuboid.entry_range(users.clone());
-                        let (post0_out, tail) =
-                            std::mem::take(&mut rest).split_at_mut(entries.end - consumed);
-                        rest = tail;
-                        consumed = entries.end;
-                        let shard = shard_scratch.next().expect("one scratch per shard");
-                        for u in users {
-                            e_step_user(
-                                cuboid,
-                                UserId::from(u),
-                                theta,
-                                phi_item,
-                                theta_t,
-                                lambda,
-                                background,
-                                lam_b,
-                                entries.start,
-                                post0_out,
-                                &mut view,
-                                shard,
-                            );
-                        }
-                    });
-                } else {
-                    // Each shard also owns the window of the `post0`
-                    // buffer covering exactly its users' entries.
-                    let mut post0_views: Vec<&mut [f64]> = Vec::with_capacity(shards.len());
-                    let mut rest = post0.as_mut_slice();
-                    let mut consumed = 0usize;
-                    for r in &shards {
-                        let end = cuboid.entry_range(r.clone()).end;
-                        let (head, tail) = rest.split_at_mut(end - consumed);
-                        post0_views.push(head);
-                        rest = tail;
-                        consumed = end;
-                    }
-                    let tasks: Vec<_> = shards
-                        .iter()
-                        .cloned()
-                        .zip(user_stats.split(&shards))
-                        .zip(scratch.iter_mut().zip(post0_views))
-                        .collect();
-                    run_tasks(
-                        config.num_threads,
-                        tasks,
-                        |((users, mut view), (shard, post0_out))| {
-                            let base = cuboid.entry_range(users.clone()).start;
-                            for u in users {
-                                e_step_user(
-                                    cuboid,
-                                    UserId::from(u),
-                                    theta,
-                                    phi_item,
-                                    theta_t,
-                                    lambda,
-                                    background,
-                                    lam_b,
-                                    base,
-                                    post0_out,
-                                    &mut view,
-                                    shard,
-                                );
-                            }
-                        },
-                    );
-                }
-            }
-            em::merge_tree(&mut scratch);
-            let log_likelihood = scratch[0].log_likelihood;
-
-            // Entry-order scatter of the context posteriors into the
-            // Eq. 10 numerator — same order for every thread count.
-            theta_t_num.as_mut_slice().fill(0.0);
-            for (r, &p) in cuboid.entries().iter().zip(post0.iter()) {
-                theta_t_num.add_at(r.time.index(), r.item.index(), p);
-            }
-
-            trace.push(FitTrace { iteration, log_likelihood });
-            if iteration > 0 {
-                let prev = trace[iteration - 1].log_likelihood;
-                let rel = (log_likelihood - prev).abs() / prev.abs().max(f64::MIN_POSITIVE);
-                if config.tolerance > 0.0 && rel < config.tolerance {
-                    converged = true;
-                    break;
-                }
-            }
-
-            m_step(
-                config.lambda_shrinkage,
-                &user_stats,
-                &scratch[0],
-                &theta_t_num,
-                &mut theta,
-                &mut phi_item,
-                &mut theta_t,
-                &mut lambda,
-                &mut col_scratch,
-            );
-        }
-
+        let lambda = vec![config.initial_lambda; n];
+        let temporal = ItemContext { theta_t, theta_t_num: Matrix::zeros(t_dim, v_dim) };
+        let fit = em::fit(cuboid, config, em::EmParams { theta, phi_item, lambda, temporal });
+        let (params, background) = fit.model;
         // Convert the work layout to the row-major topic layout used by
         // scoring and inspection.
-        let phi = phi_item.transpose();
-        Ok(FitResult {
-            model: ItcamModel { theta, phi, theta_t, lambda, background, background_weight: lam_b },
-            trace,
-            converged,
-        })
+        let model = ItcamModel {
+            theta: params.theta,
+            phi: params.phi_item.transpose(),
+            theta_t: params.temporal.theta_t,
+            lambda: params.lambda,
+            background,
+            background_weight: config.background_weight,
+        };
+        Ok(FitResult { model, trace: fit.trace, converged: fit.converged })
     }
 
     /// Number of users `N`.
@@ -378,104 +250,10 @@ impl ItcamModel {
     }
 }
 
-/// E-step contributions of one user's entries (Eqs. 4–6).
-///
-/// Per-user statistics go into this shard's disjoint
-/// [`em::UserStatsView`] window; the Eq. 10 contribution `c * post0` is
-/// recorded per entry into the shard's `post0_out` window (rebased by
-/// `entry_base`) for the later entry-order scatter.
-// tcam-lint: hot
-#[allow(clippy::too_many_arguments)]
-fn e_step_user(
-    cuboid: &RatingCuboid,
-    user: UserId,
-    theta: &Matrix,
-    phi_item: &Matrix,
-    theta_t: &Matrix,
-    lambda: &[f64],
-    background: &[f64],
-    lam_b: f64,
-    entry_base: usize,
-    post0_out: &mut [f64],
-    view: &mut em::UserStatsView<'_>,
-    shard: &mut EmScratch,
-) {
-    let u = user.index();
-    let lam = lambda[u];
-    // Per-user mixture weights, hoisted out of the entry loop; see the
-    // TTCAM twin for the one-division-per-rating cancellation.
-    let w1 = (1.0 - lam_b) * lam;
-    let w0 = (1.0 - lam_b) * (1.0 - lam);
-    let theta_u = theta.row(u);
-    let range = cuboid.user_entry_range(user);
-    let entries = &cuboid.entries()[range.clone()];
-    let user_post0 = &mut post0_out[range.start - entry_base..][..entries.len()];
-    let theta_num_u = view.theta_row_mut(u);
-    let mut lambda_num = 0.0;
-    let mut mass = 0.0;
-    let mut ll = em::LogLikelihoodAcc::new();
-    for (r, p_out) in entries.iter().zip(user_post0.iter_mut()) {
-        let v = r.item.index();
-        let t = r.time.index();
-        let c = r.value;
-
-        let phi_v = phi_item.row(v);
-        vecops::dot_dual_update(theta_num_u, shard.phi_item_num.row_mut(v), theta_u, phi_v, {
-            let (ll, lambda_num, mass) = (&mut ll, &mut lambda_num, &mut mass);
-            move |a_sum| {
-                let p1 = w1 * a_sum;
-                let p0 = w0 * theta_t.get(t, v);
-                let denom = lam_b * background[v] + p1 + p0;
-                if denom <= 0.0 {
-                    // The model assigns this cell zero mass (can only
-                    // happen with degenerate inputs); it contributes
-                    // nothing.
-                    ll.add_floor(c);
-                    *p_out = 0.0;
-                    return 0.0;
-                }
-                ll.add(c, denom);
-                let inv = c / denom;
-                *p_out = inv * p0;
-                *lambda_num += inv * p1;
-                *mass += inv * (p1 + p0);
-                inv * w1
-            }
-        });
-    }
-    shard.log_likelihood += ll.finish();
-    view.lambda_mass_add(u, lambda_num, mass);
-}
-
-/// M-step: normalize sufficient statistics into parameters (Eqs. 8–11).
-/// `col_scratch` is reusable column-sum scratch.
-// tcam-lint: hot
-#[allow(clippy::too_many_arguments)]
-fn m_step(
-    lambda_shrinkage: f64,
-    user_stats: &em::UserStats,
-    shared: &EmScratch,
-    theta_t_num: &Matrix,
-    theta: &mut Matrix,
-    phi_item: &mut Matrix,
-    theta_t: &mut Matrix,
-    lambda: &mut [f64],
-    col_scratch: &mut Vec<f64>,
-) {
-    em::normalize_rows(&user_stats.theta_num, theta);
-    em::column_normalize(&shared.phi_item_num, phi_item, col_scratch);
-    em::normalize_rows(theta_t_num, theta_t);
-    crate::config::update_lambda(
-        lambda_shrinkage,
-        &user_stats.lambda_num,
-        &user_stats.mass,
-        lambda,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModelError;
     use tcam_data::synth;
 
     fn fit_tiny(seed: u64, iters: usize) -> (tcam_data::SynthDataset, FitResult<ItcamModel>) {

@@ -11,20 +11,18 @@
 //! EM updates are Eqs. 13–16 for the temporal side plus the shared
 //! Eqs. 8, 9, 11 for the interest side and mixing weights.
 //!
-//! The training kernel is sparsity-aware and allocation-free per
-//! iteration (DESIGN.md §11): the context products `b[x] = theta'_t[x] *
-//! phi'_x[v]` depend only on `(t, v)`, so they are computed once per
-//! distinct pair of the cuboid's [`TimeItemIndex`] support into a shared
-//! read-only table and looked up per rating; per-shard sufficient
-//! statistics live in reusable [`EmScratch`] buffers merged with a
-//! deterministic pairwise tree, making the fit bitwise reproducible for
-//! any `num_threads`.
+//! The fit runs on the EM scaffold shared with ITCAM (`em::fit`,
+//! DESIGN.md §11); TTCAM supplies only its temporal context, which is
+//! sparsity-aware: the context products `b[x] = theta'_t[x] * phi'_x[v]`
+//! depend only on `(t, v)`, so their normalizer is computed once per
+//! distinct pair of the cuboid's [`TimeItemIndex`] support into a
+//! shared read-only table and looked up per rating.
 
-use crate::config::{FitConfig, FitResult, FitTrace};
-use crate::em::{self, MergeStats};
-use crate::parallel::run_tasks;
+use crate::config::{FitConfig, FitResult};
+use crate::em::{self, TemporalContext};
 use crate::{ModelError, Result};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use tcam_data::{RatingCuboid, TimeId, TimeItemIndex, UserId};
 use tcam_math::{vecops, Matrix, Pcg64};
 
@@ -48,55 +46,143 @@ pub struct TtcamModel {
     background_weight: f64,
 }
 
-/// Reusable per-shard E-step scratch: this shard's copy of the shared
-/// item-major interest numerator plus its responsibility buffer.
-/// Allocated once per fit and zeroed — never reallocated — between
-/// iterations.
+/// TTCAM's temporal context during EM, with the buffers of its
+/// numerator rebuild (all allocated once per fit).
 ///
-/// The temporal numerators (Eqs. 15, 16) deliberately do *not* live
-/// here: each entry's context contribution is `weight * b_pair`, a
-/// scalar times a pair-shared vector, so shards record only the scalar
-/// (into disjoint windows of one `nnz` buffer) and a sequential
-/// per-pair pass rebuilds both numerators afterwards — `K2`-vector
-/// work per *distinct pair* instead of per rating.
-struct EmScratch {
-    /// `V x K1` numerators for Eq. 9.
-    phi_item_num: Matrix,
-    log_likelihood: f64,
-}
-
-impl EmScratch {
-    fn new(v_dim: usize, k1: usize) -> Self {
-        EmScratch { phi_item_num: Matrix::zeros(v_dim, k1), log_likelihood: 0.0 }
-    }
-
-    fn reset(&mut self) {
-        self.phi_item_num.as_mut_slice().fill(0.0);
-        self.log_likelihood = 0.0;
-    }
-}
-
-impl MergeStats for EmScratch {
-    fn merge_from(&mut self, other: &Self) {
-        self.phi_item_num.add_assign(&other.phi_item_num).expect("equal shapes");
-        self.log_likelihood += other.log_likelihood;
-    }
-}
-
-/// User- and corpus-side parameters entering the first EM iteration.
-/// Built either randomly ([`TtcamModel::fit`]) or from a prior model's
-/// rows ([`TtcamModel::fit_warm`]); the EM loop itself is shared.
-struct InitParams {
-    /// `N x K1`.
-    theta: Matrix,
-    /// `V x K1` (item-major, column-stochastic).
-    phi_item: Matrix,
+/// The temporal numerators (Eqs. 15, 16) are not accumulated per
+/// shard: each entry's context contribution is `weight * b_pair`, a
+/// scalar times a pair-shared vector, so entries record only the scalar
+/// and a sequential per-pair pass rebuilds both numerators afterwards —
+/// `K2`-vector work per *distinct pair* instead of per rating.
+struct TopicContext {
     /// `T x K2`.
     theta_t: Matrix,
     /// `V x K2` (item-major, column-stochastic).
     phi_t_item: Matrix,
-    /// Per-user mixing weights.
-    lambda: Vec<f64>,
+    /// The cuboid's distinct `(t, v)` pairs.
+    index: TimeItemIndex,
+    /// The Eq. 12 normalizer `sum_x theta'_t[x] * phi'_x[v]` per pair.
+    ctx_sum: Vec<f64>,
+    /// The entries' context weights folded onto their pairs.
+    pair_weight: Vec<f64>,
+    /// `sum_v w * phi'_v` over one `t`-run of pairs.
+    b: Vec<f64>,
+    theta_t_num: Matrix,
+    phi_t_item_num: Matrix,
+    col_sums: Vec<f64>,
+}
+
+impl TopicContext {
+    fn new(cuboid: &RatingCuboid, theta_t: Matrix, phi_t_item: Matrix) -> Self {
+        let (t_dim, k2) = (theta_t.rows(), theta_t.cols());
+        let index = TimeItemIndex::new(cuboid);
+        TopicContext {
+            ctx_sum: vec![0.0; index.num_pairs()],
+            pair_weight: vec![0.0; index.num_pairs()],
+            b: vec![0.0; k2],
+            theta_t_num: Matrix::zeros(t_dim, k2),
+            phi_t_item_num: Matrix::zeros(phi_t_item.rows(), k2),
+            col_sums: vec![0.0; k2],
+            theta_t,
+            phi_t_item,
+            index,
+        }
+    }
+}
+
+impl TemporalContext for TopicContext {
+    /// Refreshes the shared `(t, v)` context cache: the Eq. 12
+    /// normalizer is user-independent, so one evaluation per *distinct*
+    /// pair serves every rating that shares it.
+    // tcam-lint: hot
+    fn refresh(&mut self) {
+        for (p, &(t, v)) in self.index.pairs().iter().enumerate() {
+            self.ctx_sum[p] =
+                vecops::dot_unrolled(self.theta_t.row(t.index()), self.phi_t_item.row(v.index()));
+        }
+    }
+
+    // tcam-lint: hot
+    fn contexts<'a>(
+        &'a self,
+        _cuboid: &'a RatingCuboid,
+        entries: Range<usize>,
+    ) -> impl Iterator<Item = f64> + 'a {
+        let ctx_sum = &self.ctx_sum;
+        self.index.entry_pairs()[entries].iter().map(move |&pair| ctx_sum[pair as usize])
+    }
+
+    /// `c * post0 / b_sum`: the pair-shared vector `b_pair` is applied
+    /// in [`Self::rebuild`].
+    #[inline]
+    fn entry_weight(inv: f64, w0: f64, b: f64) -> f64 {
+        if b > 0.0 {
+            inv * w0
+        } else {
+            0.0
+        }
+    }
+
+    /// Rebuilds the temporal numerators (Eqs. 15, 16) from the
+    /// per-entry context weights: fold the weights onto their pairs in
+    /// entry order, then walk the pair list — which is sorted by
+    /// `(t, v)` — one `t`-run at a time. Within a run the `phi'` row
+    /// gets `w * (theta'_t ∘ phi'_v)` per pair, while the `theta'_t`
+    /// contribution factors as `theta'_t ∘ (sum_v w * phi'_v)` and is
+    /// added once per run.
+    // tcam-lint: hot
+    fn rebuild(&mut self, _cuboid: &RatingCuboid, weights: &[f64]) {
+        let TopicContext {
+            theta_t,
+            phi_t_item,
+            index,
+            pair_weight,
+            b,
+            theta_t_num,
+            phi_t_item_num,
+            ..
+        } = self;
+        pair_weight.fill(0.0);
+        for (e, &w) in weights.iter().enumerate() {
+            pair_weight[index.pair_of(e)] += w;
+        }
+        theta_t_num.as_mut_slice().fill(0.0);
+        phi_t_item_num.as_mut_slice().fill(0.0);
+        let pairs = index.pairs();
+        let mut p = 0;
+        while p < pairs.len() {
+            let t = pairs[p].0;
+            let run_end = p + pairs[p..].iter().take_while(|&&(pt, _)| pt == t).count();
+            let theta_t_row = theta_t.row(t.index());
+            b.fill(0.0);
+            let mut run_has_mass = false;
+            for q in p..run_end {
+                let w = pair_weight[q];
+                if w == 0.0 {
+                    continue;
+                }
+                run_has_mass = true;
+                let v = pairs[q].1.index();
+                vecops::scaled_add(b, phi_t_item.row(v), w);
+                vecops::scaled_mul_add(
+                    phi_t_item_num.row_mut(v),
+                    theta_t_row,
+                    phi_t_item.row(v),
+                    w,
+                );
+            }
+            if run_has_mass {
+                vecops::scaled_mul_add(theta_t_num.row_mut(t.index()), theta_t_row, b, 1.0);
+            }
+            p = run_end;
+        }
+    }
+
+    // tcam-lint: hot
+    fn m_step(&mut self) {
+        em::normalize_rows(&self.theta_t_num, &mut self.theta_t);
+        em::column_normalize(&self.phi_t_item_num, &mut self.phi_t_item, &mut self.col_sums);
+    }
 }
 
 impl TtcamModel {
@@ -110,10 +196,7 @@ impl TtcamModel {
     /// result: traces and parameters are bitwise identical across thread
     /// counts.
     pub fn fit(cuboid: &RatingCuboid, config: &FitConfig) -> Result<FitResult<Self>> {
-        config.validate()?;
-        if cuboid.nnz() == 0 {
-            return Err(ModelError::BadData("cuboid has no ratings"));
-        }
+        em::check_inputs(cuboid, config)?;
         let n = cuboid.num_users();
         let t_dim = cuboid.num_times();
         let v_dim = cuboid.num_items();
@@ -128,11 +211,8 @@ impl TtcamModel {
         em::random_rows(&mut theta_t, &mut rng);
         let phi_t_item = em::init_item_major(v_dim, k2, &mut rng);
         let lambda = vec![config.initial_lambda; n];
-        Self::fit_with_init(
-            cuboid,
-            config,
-            InitParams { theta, phi_item, theta_t, phi_t_item, lambda },
-        )
+        let temporal = TopicContext::new(cuboid, theta_t, phi_t_item);
+        Ok(Self::run_em(cuboid, config, em::EmParams { theta, phi_item, lambda, temporal }))
     }
 
     /// Fits TTCAM with EM **warm-started from a prior model's rows** —
@@ -155,10 +235,7 @@ impl TtcamModel {
         config: &FitConfig,
         prior: &TtcamModel,
     ) -> Result<FitResult<Self>> {
-        config.validate()?;
-        if cuboid.nnz() == 0 {
-            return Err(ModelError::BadData("cuboid has no ratings"));
-        }
+        em::check_inputs(cuboid, config)?;
         if cuboid.num_items() != prior.num_items() {
             return Err(ModelError::BadData("warm start requires the prior model's item catalog"));
         }
@@ -204,245 +281,30 @@ impl TtcamModel {
         }
         let mut lambda = vec![config.initial_lambda; n];
         lambda[..prior.num_users()].copy_from_slice(prior.lambdas());
-        let init = InitParams {
-            theta,
-            phi_item: prior.phi.transpose(),
-            theta_t,
-            phi_t_item: prior.phi_t.transpose(),
-            lambda,
-        };
-        Self::fit_with_init(cuboid, config, init)
+        let temporal = TopicContext::new(cuboid, theta_t, prior.phi_t.transpose());
+        let phi_item = prior.phi.transpose();
+        Ok(Self::run_em(cuboid, config, em::EmParams { theta, phi_item, lambda, temporal }))
     }
 
-    /// The shared EM loop: runs Eqs. 4–16 from `init` to convergence.
-    fn fit_with_init(
+    /// Runs the shared EM loop from `init`, then converts the work
+    /// layout to the row-major topic layout used by scoring.
+    fn run_em(
         cuboid: &RatingCuboid,
         config: &FitConfig,
-        init: InitParams,
-    ) -> Result<FitResult<Self>> {
-        let n = cuboid.num_users();
-        let t_dim = cuboid.num_times();
-        let v_dim = cuboid.num_items();
-        let k1 = config.num_user_topics;
-        let k2 = config.num_time_topics;
-
-        let InitParams { mut theta, mut phi_item, mut theta_t, mut phi_t_item, mut lambda } = init;
-        debug_assert_eq!((theta.rows(), theta.cols()), (n, k1));
-        debug_assert_eq!((theta_t.rows(), theta_t.cols()), (t_dim, k2));
-        debug_assert_eq!((phi_item.rows(), phi_item.cols()), (v_dim, k1));
-        debug_assert_eq!((phi_t_item.rows(), phi_t_item.cols()), (v_dim, k2));
-        let lam_b = config.background_weight;
-        let mut background = vec![0.0; v_dim];
-        for r in cuboid.entries() {
-            background[r.item.index()] += r.value;
-        }
-        vecops::normalize_in_place(&mut background);
-
-        // All training-loop buffers are allocated here, once.
-        let shards = em::em_shard_plan(cuboid);
-        let ctx_index = TimeItemIndex::new(cuboid);
-        let mut ctx_sum = vec![0.0; ctx_index.num_pairs()];
-        let mut b = vec![0.0; k2];
-        let mut user_stats = em::UserStats::zeros(n, k1);
-        let mut scratch: Vec<EmScratch> =
-            shards.iter().map(|_| EmScratch::new(v_dim, k1)).collect();
-        let mut theta_t_num = Matrix::zeros(t_dim, k2);
-        let mut phi_t_item_num = Matrix::zeros(v_dim, k2);
-        let mut ctx_weight = vec![0.0; cuboid.nnz()];
-        let mut pair_weight = vec![0.0; ctx_index.num_pairs()];
-        let mut col_scratch = vec![0.0; k1.max(k2)];
-
-        let mut trace: Vec<FitTrace> = Vec::with_capacity(config.max_iterations);
-        let mut converged = false;
-
-        for iteration in 0..config.max_iterations {
-            // Refresh the shared (t, v) context cache: the Eq. 12
-            // normalizer `b_sum = sum_x theta'_t[x] * phi'_x[v]` is
-            // user-independent, so one evaluation per *distinct* pair
-            // serves every rating that shares it.
-            for (p, &(t, v)) in ctx_index.pairs().iter().enumerate() {
-                ctx_sum[p] =
-                    vecops::dot_unrolled(theta_t.row(t.index()), phi_t_item.row(v.index()));
-            }
-
-            user_stats.reset();
-            for s in scratch.iter_mut() {
-                s.reset();
-            }
-            {
-                let theta = &theta;
-                let phi_item = &phi_item;
-                let ctx_sum = &ctx_sum[..];
-                let ctx_index = &ctx_index;
-                let lambda = &lambda[..];
-                let background = &background[..];
-                if config.num_threads <= 1 {
-                    // Serial dispatch: the same shards in the same
-                    // order, but without materializing the task list —
-                    // warm iterations stay allocation-free (asserted by
-                    // `tests/zero_alloc.rs`). Each shard still owns the
-                    // window of `ctx_weight` covering its users'
-                    // entries, carved off progressively.
-                    let mut rest = ctx_weight.as_mut_slice();
-                    let mut consumed = 0usize;
-                    let mut shard_scratch = scratch.iter_mut();
-                    user_stats.for_each_view(&shards, |users, mut view| {
-                        let entries = cuboid.entry_range(users.clone());
-                        let (weights, tail) =
-                            std::mem::take(&mut rest).split_at_mut(entries.end - consumed);
-                        rest = tail;
-                        consumed = entries.end;
-                        let shard = shard_scratch.next().expect("one scratch per shard");
-                        for u in users {
-                            e_step_user(
-                                cuboid,
-                                UserId::from(u),
-                                theta,
-                                phi_item,
-                                ctx_sum,
-                                ctx_index,
-                                lambda,
-                                background,
-                                lam_b,
-                                entries.start,
-                                weights,
-                                &mut view,
-                                shard,
-                            );
-                        }
-                    });
-                } else {
-                    // Each shard also owns the window of the `ctx_weight`
-                    // buffer covering exactly its users' entries.
-                    let mut weight_views: Vec<&mut [f64]> = Vec::with_capacity(shards.len());
-                    let mut rest = ctx_weight.as_mut_slice();
-                    let mut consumed = 0usize;
-                    for r in &shards {
-                        let end = cuboid.entry_range(r.clone()).end;
-                        let (head, tail) = rest.split_at_mut(end - consumed);
-                        weight_views.push(head);
-                        rest = tail;
-                        consumed = end;
-                    }
-                    let tasks: Vec<_> = shards
-                        .iter()
-                        .cloned()
-                        .zip(user_stats.split(&shards))
-                        .zip(scratch.iter_mut().zip(weight_views))
-                        .collect();
-                    run_tasks(
-                        config.num_threads,
-                        tasks,
-                        |((users, mut view), (shard, weights))| {
-                            let base = cuboid.entry_range(users.clone()).start;
-                            for u in users {
-                                e_step_user(
-                                    cuboid,
-                                    UserId::from(u),
-                                    theta,
-                                    phi_item,
-                                    ctx_sum,
-                                    ctx_index,
-                                    lambda,
-                                    background,
-                                    lam_b,
-                                    base,
-                                    weights,
-                                    &mut view,
-                                    shard,
-                                );
-                            }
-                        },
-                    );
-                }
-            }
-            em::merge_tree(&mut scratch);
-            let log_likelihood = scratch[0].log_likelihood;
-
-            // Rebuild the temporal numerators (Eqs. 15, 16) from the
-            // per-entry context weights: fold the weights onto their
-            // pairs in entry order, then walk the pair list — which is
-            // sorted by `(t, v)` — one `t`-run at a time. Within a run
-            // the `phi'` row gets `w * (theta'_t ∘ phi'_v)` per pair,
-            // while the `theta'_t` contribution factors as `theta'_t ∘
-            // (sum_v w * phi'_v)` and is added once per run. Both
-            // passes are sequential and in fixed order, so the result
-            // is thread-count independent.
-            pair_weight.fill(0.0);
-            for (e, &w) in ctx_weight.iter().enumerate() {
-                pair_weight[ctx_index.pair_of(e)] += w;
-            }
-            theta_t_num.as_mut_slice().fill(0.0);
-            phi_t_item_num.as_mut_slice().fill(0.0);
-            let pairs = ctx_index.pairs();
-            let mut p = 0;
-            while p < pairs.len() {
-                let t = pairs[p].0;
-                let run_end = p + pairs[p..].iter().take_while(|&&(pt, _)| pt == t).count();
-                let theta_t_row = theta_t.row(t.index());
-                b.fill(0.0);
-                let mut run_has_mass = false;
-                for q in p..run_end {
-                    let w = pair_weight[q];
-                    if w == 0.0 {
-                        continue;
-                    }
-                    run_has_mass = true;
-                    let v = pairs[q].1.index();
-                    vecops::scaled_add(&mut b, phi_t_item.row(v), w);
-                    vecops::scaled_mul_add(
-                        phi_t_item_num.row_mut(v),
-                        theta_t_row,
-                        phi_t_item.row(v),
-                        w,
-                    );
-                }
-                if run_has_mass {
-                    vecops::scaled_mul_add(theta_t_num.row_mut(t.index()), theta_t_row, &b, 1.0);
-                }
-                p = run_end;
-            }
-
-            trace.push(FitTrace { iteration, log_likelihood });
-            if iteration > 0 {
-                let prev = trace[iteration - 1].log_likelihood;
-                let rel = (log_likelihood - prev).abs() / prev.abs().max(f64::MIN_POSITIVE);
-                if config.tolerance > 0.0 && rel < config.tolerance {
-                    converged = true;
-                    break;
-                }
-            }
-
-            m_step(
-                config.lambda_shrinkage,
-                &user_stats,
-                &scratch[0],
-                &theta_t_num,
-                &phi_t_item_num,
-                &mut theta,
-                &mut phi_item,
-                &mut theta_t,
-                &mut phi_t_item,
-                &mut lambda,
-                &mut col_scratch,
-            );
-        }
-
-        let phi = phi_item.transpose();
-        let phi_t = phi_t_item.transpose();
-        Ok(FitResult {
-            model: TtcamModel {
-                theta,
-                phi,
-                theta_t,
-                phi_t,
-                lambda,
-                background,
-                background_weight: lam_b,
-            },
-            trace,
-            converged,
-        })
+        init: em::EmParams<TopicContext>,
+    ) -> FitResult<Self> {
+        let fit = em::fit(cuboid, config, init);
+        let (params, background) = fit.model;
+        let model = TtcamModel {
+            theta: params.theta,
+            phi: params.phi_item.transpose(),
+            theta_t: params.temporal.theta_t,
+            phi_t: params.temporal.phi_t_item.transpose(),
+            lambda: params.lambda,
+            background,
+            background_weight: config.background_weight,
+        };
+        FitResult { model, trace: fit.trace, converged: fit.converged }
     }
 
     /// Number of users `N`.
@@ -609,109 +471,6 @@ impl TtcamModel {
         }
         ll
     }
-}
-
-/// E-step contributions of one user's entries (Eqs. 4, 5, 13, 14).
-///
-/// Per-user statistics go into this shard's disjoint [`em::UserStatsView`]
-/// window (no merge needed); the item-major interest numerator
-/// accumulates in the shard's [`EmScratch`]. The context side needs
-/// only the cached normalizer `ctx_sum[pair]` per rating — its full
-/// `K2` responsibility vector is reconstructed later, once per distinct
-/// pair, from the scalar weight written to `weights` (rebased by
-/// `entry_base`).
-// tcam-lint: hot
-#[allow(clippy::too_many_arguments)]
-fn e_step_user(
-    cuboid: &RatingCuboid,
-    user: UserId,
-    theta: &Matrix,
-    phi_item: &Matrix,
-    ctx_sum: &[f64],
-    ctx_index: &TimeItemIndex,
-    lambda: &[f64],
-    background: &[f64],
-    lam_b: f64,
-    entry_base: usize,
-    weights: &mut [f64],
-    view: &mut em::UserStatsView<'_>,
-    shard: &mut EmScratch,
-) {
-    let u = user.index();
-    let lam = lambda[u];
-    // Per-user mixture weights, hoisted out of the entry loop. With
-    // them the responsibilities collapse to one division per rating:
-    // `scale = c*post1/a_sum` and `weight = c*post0/b_sum` both cancel
-    // their normalizer (`post1 = w1*a_sum/denom`), leaving `inv * w1`
-    // and `inv * w0` with `inv = c/denom`.
-    let w1 = (1.0 - lam_b) * lam;
-    let w0 = (1.0 - lam_b) * (1.0 - lam);
-    let theta_u = theta.row(u);
-    let range = cuboid.user_entry_range(user);
-    let entries = &cuboid.entries()[range.clone()];
-    let pair_ids = &ctx_index.entry_pairs()[range.clone()];
-    let user_weights = &mut weights[range.start - entry_base..][..entries.len()];
-    let theta_num_u = view.theta_row_mut(u);
-    let mut lambda_num = 0.0;
-    let mut mass = 0.0;
-    let mut ll = em::LogLikelihoodAcc::new();
-    for ((r, &pair), w_out) in entries.iter().zip(pair_ids).zip(user_weights.iter_mut()) {
-        let v = r.item.index();
-        let c = r.value;
-
-        let b_sum = ctx_sum[pair as usize];
-        let phi_v = phi_item.row(v);
-        vecops::dot_dual_update(theta_num_u, shard.phi_item_num.row_mut(v), theta_u, phi_v, {
-            let (ll, lambda_num, mass) = (&mut ll, &mut lambda_num, &mut mass);
-            move |a_sum| {
-                let p1 = w1 * a_sum;
-                let p0 = w0 * b_sum;
-                let denom = lam_b * background[v] + p1 + p0;
-                if denom <= 0.0 {
-                    ll.add_floor(c);
-                    *w_out = 0.0;
-                    return 0.0;
-                }
-                ll.add(c, denom);
-                let inv = c / denom;
-                *w_out = if b_sum > 0.0 { inv * w0 } else { 0.0 };
-                *lambda_num += inv * p1;
-                *mass += inv * (p1 + p0);
-                inv * w1
-            }
-        });
-    }
-    shard.log_likelihood += ll.finish();
-    view.lambda_mass_add(u, lambda_num, mass);
-}
-
-/// M-step (Eqs. 8, 9, 11, 15, 16). `col_scratch` is reusable column-sum
-/// scratch for the two column normalizations.
-// tcam-lint: hot
-#[allow(clippy::too_many_arguments)]
-fn m_step(
-    lambda_shrinkage: f64,
-    user_stats: &em::UserStats,
-    shared: &EmScratch,
-    theta_t_num: &Matrix,
-    phi_t_item_num: &Matrix,
-    theta: &mut Matrix,
-    phi_item: &mut Matrix,
-    theta_t: &mut Matrix,
-    phi_t_item: &mut Matrix,
-    lambda: &mut [f64],
-    col_scratch: &mut Vec<f64>,
-) {
-    em::normalize_rows(&user_stats.theta_num, theta);
-    em::column_normalize(&shared.phi_item_num, phi_item, col_scratch);
-    em::normalize_rows(theta_t_num, theta_t);
-    em::column_normalize(phi_t_item_num, phi_t_item, col_scratch);
-    crate::config::update_lambda(
-        lambda_shrinkage,
-        &user_stats.lambda_num,
-        &user_stats.mass,
-        lambda,
-    );
 }
 
 #[cfg(test)]
@@ -927,6 +686,34 @@ mod tests {
         )
         .unwrap();
         assert!(TtcamModel::fit_warm(&shrunk, &config, &prior).is_err());
+    }
+
+    #[test]
+    fn subnormal_prior_columns_keep_the_warm_fit_finite() {
+        // Every rating of item `v` gets a subnormal mixture denominator,
+        // and `c / denom` overflows to inf. Those cells must count as
+        // zero-mass instead of turning lambda into NaN for every user.
+        let data = synth::SynthDataset::generate(synth::tiny(16)).unwrap();
+        let config = FitConfig::default()
+            .with_user_topics(4)
+            .with_time_topics(3)
+            .with_iterations(3)
+            .with_seed(16);
+        let mut prior = TtcamModel::fit(&data.cuboid, &config).unwrap().model;
+        let v = data.cuboid.entries()[0].item.index();
+        for z in 0..prior.num_user_topics() {
+            prior.phi.set(z, v, 1e-310);
+        }
+        for x in 0..prior.num_time_topics() {
+            prior.phi_t.set(x, v, 1e-310);
+        }
+        let warm = TtcamModel::fit_warm(&data.cuboid, &config, &prior).unwrap();
+        assert_eq!(warm.trace.len(), 3);
+        for step in &warm.trace {
+            assert!(step.log_likelihood.is_finite(), "iteration {}", step.iteration);
+        }
+        assert!(warm.model.lambdas().iter().all(|l| l.is_finite()), "NaN lambda");
+        assert!(warm.model.log_likelihood(&data.cuboid).is_finite());
     }
 
     #[test]

@@ -91,8 +91,8 @@ pub struct IngestOutcome {
     pub refreshed: Option<RefreshReport>,
 }
 
-/// Owns the ingest log, the latest fitted model (the warm-start prior
-/// for the next refresh), and the serving engine.
+/// Owns the ingest log, the published snapshot (whose model is the
+/// warm-start prior of the next refresh), and the serving engine.
 ///
 /// The serving side is an `Arc<ServeEngine>`: clone the handle from
 /// [`Self::serve`] into reader threads and keep ingesting on the owner —
@@ -104,9 +104,10 @@ pub struct OnlineEngine {
     log: IngestLog,
     config: OnlineConfig,
     serve: Arc<ServeEngine>,
-    /// The latest fitted model — next refresh warm-starts from its rows.
-    model: TtcamModel,
-    epoch: u64,
+    /// The latest published snapshot, shared with `serve`: its model is
+    /// the one copy of the current epoch's parameters, and the next
+    /// refresh warm-starts from its rows.
+    snapshot: Arc<ModelSnapshot>,
     since_refresh: u64,
 }
 
@@ -124,12 +125,9 @@ impl OnlineEngine {
         log.append_all(seed)?;
         let train = training_cuboid(&log, &config);
         let model = TtcamModel::fit(&train, &config.fit)?.model;
-        let epoch = 1;
-        let serve = Arc::new(ServeEngine::new(
-            ModelSnapshot::new(model.clone(), epoch),
-            config.serve.clone(),
-        ));
-        Ok(OnlineEngine { log, config, serve, model, epoch, since_refresh: 0 })
+        let serve = Arc::new(ServeEngine::new(ModelSnapshot::new(model, 1), config.serve.clone()));
+        let snapshot = serve.snapshot();
+        Ok(OnlineEngine { log, config, serve, snapshot, since_refresh: 0 })
     }
 
     /// Validates and ingests one rating, refreshing the snapshot if the
@@ -153,17 +151,16 @@ impl OnlineEngine {
     /// snapshot (epoch + 1) into serving, invalidating the cache.
     pub fn refresh(&mut self) -> Result<RefreshReport> {
         let train = training_cuboid(&self.log, &self.config);
-        let fit = TtcamModel::fit_warm(&train, &self.config.fit, &self.model)?;
+        let fit = TtcamModel::fit_warm(&train, &self.config.fit, self.snapshot.model())?;
         let report = RefreshReport {
-            epoch: self.epoch + 1,
+            epoch: self.epoch() + 1,
             log_likelihood: fit.final_log_likelihood(),
             em_iterations: fit.iterations(),
             num_times: train.num_times(),
             nnz: train.nnz(),
         };
-        self.model = fit.model;
-        self.epoch += 1;
-        self.serve.swap_snapshot(ModelSnapshot::new(self.model.clone(), self.epoch));
+        self.snapshot = Arc::new(ModelSnapshot::new(fit.model, report.epoch));
+        self.serve.swap_snapshot(Arc::clone(&self.snapshot));
         self.since_refresh = 0;
         Ok(report)
     }
@@ -186,12 +183,12 @@ impl OnlineEngine {
     /// The latest fitted model — the warm-start prior of the next
     /// refresh.
     pub fn model(&self) -> &TtcamModel {
-        &self.model
+        self.snapshot.model()
     }
 
     /// Epoch of the currently published snapshot.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.snapshot.epoch()
     }
 
     /// Ratings accepted since the last refresh.

@@ -160,9 +160,9 @@ impl ServeEngine {
     /// Atomically replaces the serving snapshot and drops every cached
     /// response (they were computed against the old parameters).
     /// In-flight queries finish against the snapshot they started with.
-    pub fn swap_snapshot(&self, snapshot: ModelSnapshot) {
+    pub fn swap_snapshot(&self, snapshot: Arc<ModelSnapshot>) {
         // tcam-lint: allow(no-panic) -- a poisoned lock means a panic already happened
-        *self.snapshot.write().expect("snapshot lock poisoned") = Arc::new(snapshot);
+        *self.snapshot.write().expect("snapshot lock poisoned") = snapshot;
         self.cache.clear();
     }
 
@@ -471,7 +471,7 @@ mod tests {
         let q = Query { user: UserId(0), time: TimeId(0), k: 4 };
         assert_eq!(eng.query(q).epoch, 1);
         assert!(!eng.cache().is_empty());
-        eng.swap_snapshot(ModelSnapshot::new(fitted(409), 2));
+        eng.swap_snapshot(Arc::new(ModelSnapshot::new(fitted(409), 2)));
         assert_eq!(eng.cache().len(), 0);
         let response = eng.query(q);
         assert_eq!(response.epoch, 2);

@@ -50,7 +50,7 @@ fn main() {
     println!("batch answered {} queries", responses.len());
 
     // Hot swap to a refreshed model; the response cache is invalidated.
-    engine.swap_snapshot(ModelSnapshot::new(fit(8), 2));
+    engine.swap_snapshot(std::sync::Arc::new(ModelSnapshot::new(fit(8), 2)));
     let fresh = engine.query(q);
     println!("after swap: epoch {} source {:?}", fresh.epoch, fresh.source);
 

@@ -4,6 +4,7 @@
 //! operational machinery (cache counters, snapshot swap, stats) must
 //! reflect the traffic that was served.
 
+use std::sync::Arc;
 use tcam::core::FoldInRating;
 use tcam::prelude::*;
 use tcam::rec::brute_force_top_k;
@@ -177,7 +178,7 @@ fn snapshot_swap_serves_the_new_model_exactly() {
     let before = engine.query(q);
     assert_eq!(before.epoch, 1);
 
-    engine.swap_snapshot(ModelSnapshot::new(new_model.clone(), 2));
+    engine.swap_snapshot(Arc::new(ModelSnapshot::new(new_model.clone(), 2)));
     let after = engine.query(q);
     assert_eq!(after.epoch, 2);
     assert_ne!(after.source, Source::CacheHit, "swap invalidates cached answers");
@@ -245,7 +246,7 @@ fn concurrent_readers_never_observe_torn_or_stale_state() {
         }
         // Writer: publish epochs 2..=EPOCHS while the readers run.
         for (i, model) in models.iter().enumerate().skip(1) {
-            engine.swap_snapshot(ModelSnapshot::new(model.clone(), i as u64 + 1));
+            engine.swap_snapshot(Arc::new(ModelSnapshot::new(model.clone(), i as u64 + 1)));
             std::thread::yield_now();
         }
         done.store(true, Ordering::Release);
