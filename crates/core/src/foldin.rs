@@ -16,11 +16,13 @@ use tcam_math::vecops;
 /// One observed action of the user being folded in.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FoldInRating {
-    /// Interval of the action (must be within the model's timeline).
+    /// Interval of the action; intervals past the model's timeline
+    /// clamp to its last one.
     pub time: TimeId,
-    /// Item acted on.
+    /// Item acted on; ids outside the catalog are skipped.
     pub item: usize,
-    /// Nonnegative weight (1.0 for a plain action).
+    /// Nonnegative weight (1.0 for a plain action); negative or
+    /// non-finite weights are skipped.
     pub value: f64,
 }
 
@@ -40,14 +42,24 @@ impl TtcamModel {
     /// `shrinkage` plays the same role as
     /// [`crate::FitConfig::lambda_shrinkage`] (pseudo-count toward the
     /// fitted population's mean lambda); pass 0 for the pure Eq. 11
-    /// update. With no ratings the user gets the population's uniform
-    /// prior (`theta_u` uniform, `lambda` = population mean).
+    /// update. With no usable ratings the user gets the population's
+    /// uniform prior (`theta_u` uniform, `lambda` = population mean).
+    ///
+    /// Session input comes from outside the program, so it is sanitized
+    /// as documented on [`FoldInRating`]: the fold never panics and
+    /// always returns `lambda` in [0, 1] (for `shrinkage >= 0`).
     pub fn fold_in_user(
         &self,
         ratings: &[FoldInRating],
         iterations: usize,
         shrinkage: f64,
     ) -> FoldedUser {
+        let last = TimeId(self.num_times().saturating_sub(1) as u32);
+        let ratings: Vec<FoldInRating> = ratings
+            .iter()
+            .filter(|r| r.item < self.num_items() && r.value.is_finite() && r.value >= 0.0)
+            .map(|r| FoldInRating { time: r.time.min(last), ..*r })
+            .collect();
         let k1 = self.num_user_topics();
         let k2 = self.num_time_topics();
         let population_lambda = if self.lambdas().is_empty() {
@@ -110,37 +122,14 @@ impl TtcamModel {
             interest.copy_from_slice(&theta_num);
             vecops::normalize_in_place(&mut interest);
             if mass > 0.0 || shrinkage > 0.0 {
-                lambda = (shrinkage * population_lambda + lambda_num) / (shrinkage + mass);
+                let next = (shrinkage * population_lambda + lambda_num) / (shrinkage + mass);
+                // Weights near f64::MAX can overflow both sums to inf.
+                if next.is_finite() {
+                    lambda = next;
+                }
             }
         }
         FoldedUser { interest, lambda }
-    }
-
-    /// Scores all items for a folded-in user at interval `t` — the
-    /// Eq. 1/12 likelihood with the folded user-side parameters.
-    pub fn predict_all_folded(&self, user: &FoldedUser, time: TimeId, scores: &mut [f64]) {
-        assert_eq!(scores.len(), self.num_items());
-        scores.fill(0.0);
-        for (z, &w) in user.interest.iter().enumerate() {
-            let weight = user.lambda * w;
-            if weight > 0.0 {
-                vecops::scaled_add(scores, self.user_topic(z), weight);
-            }
-        }
-        let theta_t = self.temporal_context(time);
-        for x in 0..self.num_time_topics() {
-            let weight = (1.0 - user.lambda) * theta_t[x];
-            if weight > 0.0 {
-                vecops::scaled_add(scores, self.time_topic(x), weight);
-            }
-        }
-        let lam_b = self.background_weight();
-        if lam_b > 0.0 {
-            for s in scores.iter_mut() {
-                *s *= 1.0 - lam_b;
-            }
-            vecops::scaled_add(scores, self.background(), lam_b);
-        }
     }
 }
 
@@ -216,20 +205,57 @@ mod tests {
         );
     }
 
+    /// The sanitized-fold contract: `lambda` in [0, 1] and `interest` a
+    /// distribution, at both shrinkage settings. Returns both folds.
+    fn valid_folds(model: &TtcamModel, history: &[FoldInRating]) -> [FoldedUser; 2] {
+        [0.0, 1.0].map(|shrinkage| {
+            let folded = model.fold_in_user(history, 15, shrinkage);
+            assert!((0.0..=1.0).contains(&folded.lambda), "lambda {}", folded.lambda);
+            assert!(tcam_math::vecops::is_distribution(&folded.interest, 1e-9));
+            folded
+        })
+    }
+
+    fn rating(time: u32, item: usize, value: f64) -> FoldInRating {
+        FoldInRating { time: TimeId(time), item, value }
+    }
+
     #[test]
-    fn folded_scores_form_distribution() {
-        let (data, model) = fitted();
-        let history: Vec<FoldInRating> = data
-            .cuboid
-            .user_entries(UserId(1))
-            .iter()
-            .map(|r| FoldInRating { time: r.time, item: r.item.index(), value: r.value })
-            .collect();
-        let folded = model.fold_in_user(&history, 10, 5.0);
-        let mut scores = vec![0.0; model.num_items()];
-        model.predict_all_folded(&folded, tcam_data::TimeId(2), &mut scores);
-        assert!((scores.iter().sum::<f64>() - 1.0).abs() < 1e-6);
-        assert!(scores.iter().all(|&s| s >= 0.0));
+    fn out_of_catalog_items_are_skipped() {
+        let (_, model) = fitted();
+        let v = model.num_items();
+        let kept = [rating(0, 1, 1.0)];
+        let history = [kept[0], rating(0, v, 1.0), rating(1, usize::MAX, 2.0)];
+        assert_eq!(valid_folds(&model, &history), valid_folds(&model, &kept));
+        assert_eq!(valid_folds(&model, &history[1..]), valid_folds(&model, &[]));
+    }
+
+    #[test]
+    fn future_times_clamp_to_the_last_interval() {
+        let (_, model) = fitted();
+        let t = model.num_times() as u32;
+        let future = [rating(t, 2, 1.0), rating(u32::MAX, 3, 1.0)];
+        let clamped = [rating(t - 1, 2, 1.0), rating(t - 1, 3, 1.0)];
+        assert_eq!(valid_folds(&model, &future), valid_folds(&model, &clamped));
+    }
+
+    #[test]
+    fn negative_and_non_finite_values_are_skipped() {
+        let (_, model) = fitted();
+        let kept = [rating(0, 0, 1.0)];
+        // Unchecked, the negative weight folds to lambda = -29.06.
+        let history = [kept[0], rating(1, 1, -0.9)];
+        assert_eq!(valid_folds(&model, &history), valid_folds(&model, &kept));
+        let history = [kept[0], rating(1, 1, f64::NAN), rating(1, 2, f64::INFINITY)];
+        assert_eq!(valid_folds(&model, &history), valid_folds(&model, &kept));
+    }
+
+    #[test]
+    fn huge_weights_keep_lambda_finite() {
+        // Each responsibility is finite, but their sums overflow to inf.
+        let (_, model) = fitted();
+        let history = vec![rating(0, 0, 1e306); 2000];
+        valid_folds(&model, &history);
     }
 
     #[test]

@@ -9,8 +9,12 @@
 //!   (Eqs. 21–22: a query is a sparse mixture over topic factors whose
 //!   item weights are nonnegative), which makes the **Threshold
 //!   Algorithm** applicable;
-//! * [`ta`] — the paper's Algorithm 1 with early termination (Eq. 23),
-//!   plus the brute-force scan it is compared against;
+//! * [`FoldedScorer`] — the same factors for a user the model was not
+//!   fitted on (a fold-in or the cold-start prior), so every query is
+//!   one `vartheta_q` over one index;
+//! * [`ta`] — the block-max query kernel, the paper's Algorithm 1 with
+//!   early termination (Eq. 23), and the brute-force scan both are
+//!   checked against;
 //! * [`metrics`] — Precision@k, Recall@k, F1@k, NDCG@k, MAP, MRR,
 //!   HitRate as used in Section 5.3.1;
 //! * [`eval`] — the experiment harness: per-`(u, t)` queries over a
@@ -31,5 +35,5 @@ pub mod timing;
 
 pub use eval::{evaluate, EvalConfig, EvalReport, ExcludePolicy, MetricsAtK};
 pub use metrics::{metrics_at_k, RankingMetrics};
-pub use scorer::{score_all_factored, FactoredScorer, TemporalScorer};
-pub use ta::{brute_force_top_k, QueryScratch, TaIndex, TaResult, BLOCK};
+pub use scorer::{score_all_factored, FactoredScorer, FoldedScorer, TemporalScorer};
+pub use ta::{brute_force_top_k, QueryScratch, TaIndex, TaResult, TaStats, BLOCK};

@@ -1,7 +1,7 @@
 //! Scoring traits and their implementations for every model.
 
 use tcam_baselines::{Bprmf, Bptf, MostPopular, TimePopular, TimeTopicModel, UserTopicModel};
-use tcam_core::{ItcamModel, TtcamModel};
+use tcam_core::{FoldedUser, ItcamModel, TtcamModel};
 use tcam_data::{TimeId, UserId};
 
 /// A model that can rank all items for a temporal query `q = (u, t)`.
@@ -31,19 +31,11 @@ pub trait FactoredScorer: TemporalScorer {
     /// The item weights `phi_z[v]` of one factor (all nonnegative).
     fn factor_items(&self, z: usize) -> &[f64];
 
-    /// The active `(factor, weight)` pairs of a query — the nonzero
-    /// entries of `vartheta_q` (Eq. 21 expansion).
-    fn query_factors(&self, user: UserId, time: TimeId) -> Vec<(usize, f64)>;
-
-    /// Writes the active `(factor, weight)` pairs into a reusable
-    /// buffer. The query kernels call this on their scratch so the
-    /// steady-state hot path allocates nothing; the default falls back
-    /// to [`Self::query_factors`], and the TCAM models override it to
-    /// push directly.
-    fn query_factors_into(&self, user: UserId, time: TimeId, out: &mut Vec<(usize, f64)>) {
-        out.clear();
-        out.extend(self.query_factors(user, time));
-    }
+    /// Writes the active `(factor, weight)` pairs of a query — the
+    /// entries of `vartheta_q` (Eq. 21 expansion) — into `out`, clearing
+    /// it first. The query kernels call this on their scratch, so the
+    /// steady-state hot path allocates nothing.
+    fn query_factors_into(&self, user: UserId, time: TimeId, out: &mut Vec<(usize, f64)>);
 }
 
 /// Dense factored scoring: `out[v] = sum_z w_z * phi_z[v]` accumulated
@@ -109,9 +101,6 @@ impl<M: FactoredScorer> FactoredScorer for Named<M> {
     fn factor_items(&self, z: usize) -> &[f64] {
         self.model.factor_items(z)
     }
-    fn query_factors(&self, user: UserId, time: TimeId) -> Vec<(usize, f64)> {
-        self.model.query_factors(user, time)
-    }
     fn query_factors_into(&self, user: UserId, time: TimeId, out: &mut Vec<(usize, f64)>) {
         self.model.query_factors_into(user, time, out)
     }
@@ -151,11 +140,6 @@ impl FactoredScorer for ItcamModel {
         } else {
             self.background()
         }
-    }
-    fn query_factors(&self, user: UserId, time: TimeId) -> Vec<(usize, f64)> {
-        let mut factors = Vec::new();
-        self.query_factors_into(user, time, &mut factors);
-        factors
     }
     fn query_factors_into(&self, user: UserId, time: TimeId, out: &mut Vec<(usize, f64)>) {
         out.clear();
@@ -207,34 +191,94 @@ impl FactoredScorer for TtcamModel {
             self.background()
         }
     }
-    fn query_factors(&self, user: UserId, time: TimeId) -> Vec<(usize, f64)> {
-        let mut factors = Vec::new();
-        self.query_factors_into(user, time, &mut factors);
-        factors
-    }
     fn query_factors_into(&self, user: UserId, time: TimeId, out: &mut Vec<(usize, f64)>) {
-        out.clear();
-        let lam = self.lambda(user);
-        let lam_b = self.background_weight();
-        let k1 = self.num_user_topics();
-        let k2 = self.num_time_topics();
-        out.extend(
-            self.user_interest(user)
-                .iter()
-                .enumerate()
-                .filter(|(_, &w)| w > 0.0)
-                .map(|(z, &w)| (z, (1.0 - lam_b) * lam * w)),
-        );
-        out.extend(
-            self.temporal_context(time)
-                .iter()
-                .enumerate()
-                .filter(|(_, &w)| w > 0.0)
-                .map(|(x, &w)| (k1 + x, (1.0 - lam_b) * (1.0 - lam) * w)),
-        );
-        if lam_b > 0.0 {
-            out.push((k1 + k2, lam_b));
-        }
+        ttcam_factors_into(self, self.user_interest(user), self.lambda(user), time, out);
+    }
+}
+
+/// TTCAM's `vartheta_q` for a user with interest `theta_u` = `interest`
+/// and mixing weight `lambda`, the one layout fitted and folded users
+/// share: `(1 - lambda_B) * lambda * theta_u[z]` for each `theta_u[z] >
+/// 0`, then `(1 - lambda_B) * (1 - lambda) * theta'_t[x]` for each
+/// `theta'_t[x] > 0`, then `lambda_B` on the background list when
+/// `lambda_B > 0`.
+fn ttcam_factors_into(
+    model: &TtcamModel,
+    interest: &[f64],
+    lambda: f64,
+    time: TimeId,
+    out: &mut Vec<(usize, f64)>,
+) {
+    out.clear();
+    let lam_b = model.background_weight();
+    let k1 = model.num_user_topics();
+    let k2 = model.num_time_topics();
+    out.extend(
+        interest
+            .iter()
+            .enumerate()
+            .filter(|(_, &w)| w > 0.0)
+            .map(|(z, &w)| (z, (1.0 - lam_b) * lambda * w)),
+    );
+    out.extend(
+        model
+            .temporal_context(time)
+            .iter()
+            .enumerate()
+            .filter(|(_, &w)| w > 0.0)
+            .map(|(x, &w)| (k1 + x, (1.0 - lam_b) * (1.0 - lambda) * w)),
+    );
+    if lam_b > 0.0 {
+        out.push((k1 + k2, lam_b));
+    }
+}
+
+/// Scores items for a user the model was not fitted on: the Eq. 1/12
+/// mixture with folded user-side parameters (`tcam_core::foldin`, or
+/// the serving snapshot's context-only prior) in place of fitted ones.
+/// The `UserId` argument is ignored — the folded parameters *are* the
+/// user. Its factors are TTCAM's, so the block-max kernel ranks folded
+/// users over the same index as fitted ones.
+#[derive(Debug, Clone, Copy)]
+pub struct FoldedScorer<'a> {
+    /// The corpus-side parameters.
+    pub model: &'a TtcamModel,
+    /// The user-side parameters to score with.
+    pub folded: &'a FoldedUser,
+}
+
+impl TemporalScorer for FoldedScorer<'_> {
+    fn name(&self) -> &str {
+        "TTCAM (folded)"
+    }
+    fn num_items(&self) -> usize {
+        self.model.num_items()
+    }
+    // tcam-lint: allow-fn(no-panic) -- `item` is a catalog index < V by the
+    // TemporalScorer contract, matching every factor row's length
+    fn score(&self, user: UserId, time: TimeId, item: usize) -> f64 {
+        let mut active = Vec::new();
+        self.query_factors_into(user, time, &mut active);
+        active.iter().map(|&(z, w)| w * self.factor_items(z)[item]).sum()
+    }
+    /// A full scan of every item; like [`Self::score`], in the kernels'
+    /// own arithmetic.
+    fn score_all(&self, user: UserId, time: TimeId, out: &mut [f64]) {
+        let mut active = Vec::new();
+        self.query_factors_into(user, time, &mut active);
+        score_all_factored(self, &active, out);
+    }
+}
+
+impl FactoredScorer for FoldedScorer<'_> {
+    fn num_factors(&self) -> usize {
+        self.model.num_factors()
+    }
+    fn factor_items(&self, z: usize) -> &[f64] {
+        self.model.factor_items(z)
+    }
+    fn query_factors_into(&self, _user: UserId, time: TimeId, out: &mut Vec<(usize, f64)>) {
+        ttcam_factors_into(self.model, &self.folded.interest, self.folded.lambda, time, out);
     }
 }
 
@@ -360,7 +404,7 @@ impl TemporalScorer for TimePopular {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcam_core::FitConfig;
+    use tcam_core::{FitConfig, FoldInRating};
     use tcam_data::synth;
 
     #[test]
@@ -388,12 +432,18 @@ mod tests {
         }
     }
 
+    fn factors<S: FactoredScorer>(s: &S, u: UserId, t: TimeId) -> Vec<(usize, f64)> {
+        let mut out = Vec::new();
+        s.query_factors_into(u, t, &mut out);
+        out
+    }
+
     fn factored_score<S: FactoredScorer>(s: &S, u: UserId, t: TimeId, v: usize) -> f64 {
-        s.query_factors(u, t).iter().map(|&(z, w)| w * s.factor_items(z)[v]).sum()
+        factors(s, u, t).iter().map(|&(z, w)| w * s.factor_items(z)[v]).sum()
     }
 
     #[test]
-    fn query_factors_into_matches_query_factors() {
+    fn query_factors_into_clears_stale_contents() {
         let data = synth::SynthDataset::generate(synth::tiny(83)).unwrap();
         let config = FitConfig::default()
             .with_user_topics(4)
@@ -407,9 +457,9 @@ mod tests {
             for t in 0..4 {
                 let (user, time) = (UserId(u), TimeId(t));
                 ttcam.query_factors_into(user, time, &mut buf);
-                assert_eq!(buf, ttcam.query_factors(user, time));
+                assert_eq!(buf, factors(&ttcam, user, time));
                 itcam.query_factors_into(user, time, &mut buf);
-                assert_eq!(buf, itcam.query_factors(user, time));
+                assert_eq!(buf, factors(&itcam, user, time));
             }
         }
     }
@@ -424,7 +474,7 @@ mod tests {
             .with_background(0.2);
         let model = TtcamModel::fit(&data.cuboid, &config).unwrap().model;
         let (user, time) = (UserId(2), TimeId(1));
-        let active = model.query_factors(user, time);
+        let active = factors(&model, user, time);
         let mut dense = vec![f64::NAN; model.num_items()];
         score_all_factored(&model, &active, &mut dense);
         for (v, &got) in dense.iter().enumerate() {
@@ -442,8 +492,34 @@ mod tests {
         let config =
             FitConfig::default().with_user_topics(4).with_time_topics(3).with_iterations(5);
         let ttcam = TtcamModel::fit(&data.cuboid, &config).unwrap().model;
-        let total: f64 = ttcam.query_factors(UserId(0), TimeId(0)).iter().map(|&(_, w)| w).sum();
+        let total: f64 = factors(&ttcam, UserId(0), TimeId(0)).iter().map(|&(_, w)| w).sum();
         assert!((total - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn folded_scores_form_distribution() {
+        let data = synth::SynthDataset::generate(synth::tiny(200)).unwrap();
+        let config = FitConfig::default()
+            .with_user_topics(4)
+            .with_time_topics(3)
+            .with_iterations(20)
+            .with_seed(200);
+        let model = TtcamModel::fit(&data.cuboid, &config).unwrap().model;
+        let history: Vec<FoldInRating> = data
+            .cuboid
+            .user_entries(UserId(1))
+            .iter()
+            .map(|r| FoldInRating { time: r.time, item: r.item.index(), value: r.value })
+            .collect();
+        let folded = model.fold_in_user(&history, 10, 5.0);
+        let mut scores = vec![0.0; model.num_items()];
+        FoldedScorer { model: &model, folded: &folded }.score_all(
+            UserId(0),
+            TimeId(2),
+            &mut scores,
+        );
+        assert!((scores.iter().sum::<f64>() - 1.0).abs() < 1e-6);
+        assert!(scores.iter().all(|&s| s >= 0.0));
     }
 
     #[test]

@@ -13,7 +13,12 @@
 //!   [`BLOCK`]-sized blocks with `blockmax_z[b] = max_{v in block b}
 //!   phi_z[v]` precomputed per factor.
 //!
-//! At query time the default kernel ([`TaIndex::top_k_with`]) runs a
+//! The index depends only on the item lists, never on the user, so
+//! every query is a `vartheta_q` over it: a fitted user's, the
+//! cold-start prior of an unseen id, or a folded-in session
+//! ([`crate::FoldedScorer`]).
+//!
+//! At query time the default kernel ([`TaIndex::top_k_into`]) runs a
 //! best-first TA traversal with a **block-max bound** layered over
 //! Eq. 23: the per-block upper bound `bound[b] = sum_z vartheta_q[z] *
 //! blockmax_z[b]` dominates every score inside block `b` (monotone FP
@@ -34,7 +39,7 @@
 //! kernel computes a full score exactly once per live item, when a
 //! cursor first lands on it.
 //!
-//! [`TaIndex::top_k_classic_with`] keeps the paper's Algorithm 1
+//! [`TaIndex::top_k_classic_into`] keeps the paper's Algorithm 1
 //! (per-posting consumption, Eq. 23 head-sum threshold only) on the
 //! packed postings, as the comparator the paper's Figure 8 measures.
 //! It scores one posting per sorted access, so an item reachable
@@ -43,9 +48,11 @@
 //!
 //! Both kernels are *exactly* equivalent to brute force: same item ids
 //! (ties broken by ascending item id) and scores within 1e-10 of the
-//! model's `score_all`. All per-query state lives in a reusable
-//! [`QueryScratch`], so the steady-state query path performs no heap
-//! allocation beyond the result vector itself.
+//! model's `score_all`. Both write into a caller-owned result buffer
+//! and keep all per-query state in a reusable [`QueryScratch`], so a
+//! warm steady-state query performs no heap allocation at all;
+//! [`TaIndex::top_k`] wraps the block-max kernel with fresh buffers
+//! for one-off callers.
 
 use crate::scorer::{score_all_factored, FactoredScorer, TemporalScorer};
 use std::collections::BinaryHeap;
@@ -153,10 +160,9 @@ impl TaIndex {
         (self.num_items - b * BLOCK).min(BLOCK)
     }
 
-    /// Answers a temporal top-k query with the block-max kernel,
-    /// allocating a fresh [`QueryScratch`] (convenience for tests and
-    /// one-off callers; hot paths should reuse a scratch via
-    /// [`Self::top_k_with`]).
+    /// Answers a temporal top-k query with the block-max kernel on
+    /// fresh buffers (for examples and one-off callers; hot paths reuse
+    /// a scratch and result buffer via [`Self::top_k_into`]).
     pub fn top_k<S: FactoredScorer>(
         &self,
         scorer: &S,
@@ -164,30 +170,16 @@ impl TaIndex {
         time: TimeId,
         k: usize,
     ) -> TaResult {
-        self.top_k_with(scorer, user, time, k, &mut QueryScratch::new())
-    }
-
-    /// Answers a temporal top-k query with the block-max pruned TA
-    /// kernel; all per-query state lives in `scratch`, so repeated
-    /// calls perform no heap allocation beyond the result vector.
-    pub fn top_k_with<S: FactoredScorer>(
-        &self,
-        scorer: &S,
-        user: UserId,
-        time: TimeId,
-        k: usize,
-        scratch: &mut QueryScratch,
-    ) -> TaResult {
         let mut items = Vec::new();
-        let stats = self.top_k_into(scorer, user, time, k, scratch, &mut items);
+        let stats = self.top_k_into(scorer, user, time, k, &mut QueryScratch::new(), &mut items);
         stats.with_items(items)
     }
 
-    /// The block-max kernel proper: like [`Self::top_k_with`] but the
-    /// ranked items land in caller-owned `out` (cleared first). With a
-    /// warm `scratch` and `out`, repeated queries perform **zero** heap
-    /// allocations — asserted under a counting global allocator by
-    /// `tests/zero_alloc.rs`.
+    /// The block-max pruned TA kernel: the ranked items land in
+    /// caller-owned `out` (cleared first) and all per-query state lives
+    /// in `scratch`. With a warm `scratch` and `out`, repeated queries
+    /// perform **zero** heap allocations — asserted under a counting
+    /// global allocator by `tests/zero_alloc.rs`.
     // tcam-lint: hot
     // tcam-lint: allow-fn(no-panic) -- indices are cursor/block walks bounded by the
     // packed-postings layout; each access is covered by the construction
@@ -433,22 +425,7 @@ impl TaIndex {
     /// maintain the Eq. 23 threshold `S_TA = sum_z vartheta_q[z] *
     /// head_z`, stop once the k-th best strictly exceeds it. Kept as the
     /// measured comparator for the block-max kernel (Figure 8's
-    /// "TCAM-TA" line).
-    pub fn top_k_classic_with<S: FactoredScorer>(
-        &self,
-        scorer: &S,
-        user: UserId,
-        time: TimeId,
-        k: usize,
-        scratch: &mut QueryScratch,
-    ) -> TaResult {
-        let mut items = Vec::new();
-        let stats = self.top_k_classic_into(scorer, user, time, k, scratch, &mut items);
-        stats.with_items(items)
-    }
-
-    /// [`Self::top_k_classic_with`] with a caller-owned result buffer;
-    /// allocation-free once `scratch` and `out` are warm.
+    /// "TCAM-TA" line); buffers as in [`Self::top_k_into`].
     // tcam-lint: hot
     // tcam-lint: allow-fn(no-panic) -- cursor walks are bounded by list length `v`
     // and active-list indices come from enumerate(); see the kernel's
@@ -689,8 +666,10 @@ pub struct TaResult {
 }
 
 /// Brute-force top-k (TCAM-BF / the only option for BPTF): score every
-/// item and keep the best `k`. `buffer` must have length `num_items` and
-/// is reused across queries to avoid per-query allocation.
+/// item and keep the best `k`. For factored scorers it is the oracle the
+/// kernels are tested and benchmarked against, not a serving path.
+/// `buffer` must have length `num_items` and is reused across queries to
+/// avoid per-query allocation.
 ///
 /// # Panics
 ///
@@ -744,6 +723,19 @@ mod tests {
         }
     }
 
+    /// The classic kernel with a fresh result buffer.
+    fn classic<S: FactoredScorer>(
+        index: &TaIndex,
+        scorer: &S,
+        user: UserId,
+        time: TimeId,
+        k: usize,
+        scratch: &mut QueryScratch,
+    ) -> TaResult {
+        let mut items = Vec::new();
+        index.top_k_classic_into(scorer, user, time, k, scratch, &mut items).with_items(items)
+    }
+
     fn check_all_kernels<S: FactoredScorer>(
         index: &TaIndex,
         scorer: &S,
@@ -754,9 +746,11 @@ mod tests {
         k: usize,
     ) {
         let bf = brute_force_top_k(scorer, user, time, k, buffer);
-        let blockmax = index.top_k_with(scorer, user, time, k, scratch);
+        let mut items = Vec::new();
+        let blockmax =
+            index.top_k_into(scorer, user, time, k, scratch, &mut items).with_items(items);
         assert_topk_equivalent(&blockmax.items, &bf);
-        let classic = index.top_k_classic_with(scorer, user, time, k, scratch);
+        let classic = classic(index, scorer, user, time, k, scratch);
         assert_topk_equivalent(&classic.items, &bf);
         // The two pruned kernels share one arithmetic: bitwise equal.
         assert_eq!(blockmax.items.len(), classic.items.len());
@@ -820,11 +814,11 @@ mod tests {
         for u in 0..queries {
             let user = UserId(u as u32);
             let time = TimeId((u % data.cuboid.num_times()) as u32);
-            let result = index.top_k_with(&model, user, time, 20, &mut scratch);
+            let result = index.top_k(&model, user, time, 20);
             skipped += result.blocks_skipped;
             blockmax_examined += result.items_examined;
             classic_examined +=
-                index.top_k_classic_with(&model, user, time, 20, &mut scratch).items_examined;
+                classic(&index, &model, user, time, 20, &mut scratch).items_examined;
         }
         let avg = blockmax_examined as f64 / queries as f64;
         assert!(
@@ -854,7 +848,7 @@ mod tests {
         let mut total_examined = 0usize;
         let mut queries = 0usize;
         for u in 0..20 {
-            let result = index.top_k_classic_with(&model, UserId(u), TimeId(1), 5, &mut scratch);
+            let result = classic(&index, &model, UserId(u), TimeId(1), 5, &mut scratch);
             total_examined += result.items_examined;
             queries += 1;
         }
@@ -875,7 +869,7 @@ mod tests {
         let mut scratch = QueryScratch::new();
         let result = index.top_k(&model, UserId(0), TimeId(0), 10_000);
         assert_eq!(result.items.len(), model.num_items());
-        let classic = index.top_k_classic_with(&model, UserId(0), TimeId(0), 10_000, &mut scratch);
+        let classic = classic(&index, &model, UserId(0), TimeId(0), 10_000, &mut scratch);
         assert_eq!(classic.items.len(), model.num_items());
     }
 
@@ -888,10 +882,7 @@ mod tests {
         let index = TaIndex::build(&model);
         let mut scratch = QueryScratch::new();
         assert!(index.top_k(&model, UserId(0), TimeId(0), 0).items.is_empty());
-        assert!(index
-            .top_k_classic_with(&model, UserId(0), TimeId(0), 0, &mut scratch)
-            .items
-            .is_empty());
+        assert!(classic(&index, &model, UserId(0), TimeId(0), 0, &mut scratch).items.is_empty());
     }
 
     #[test]

@@ -39,7 +39,8 @@ pub fn time_ta<S: FactoredScorer>(
     let mut scratch = QueryScratch::new();
     let start = Instant::now();
     for &(u, t) in queries {
-        let top = index.top_k_with(scorer, u, t, k, &mut scratch);
+        let mut top = Vec::new();
+        index.top_k_into(scorer, u, t, k, &mut scratch, &mut top);
         std::hint::black_box(top);
     }
     start.elapsed() / queries.len().max(1) as u32
@@ -55,7 +56,8 @@ pub fn time_ta_classic<S: FactoredScorer>(
     let mut scratch = QueryScratch::new();
     let start = Instant::now();
     for &(u, t) in queries {
-        let top = index.top_k_classic_with(scorer, u, t, k, &mut scratch);
+        let mut top = Vec::new();
+        index.top_k_classic_into(scorer, u, t, k, &mut scratch, &mut top);
         std::hint::black_box(top);
     }
     start.elapsed() / queries.len().max(1) as u32
@@ -72,12 +74,12 @@ pub fn mean_query_work<S: FactoredScorer>(
     if queries.is_empty() {
         return (0.0, 0.0);
     }
-    let mut scratch = QueryScratch::new();
+    let (mut scratch, mut out) = (QueryScratch::new(), Vec::new());
     let (mut examined, mut skipped) = (0usize, 0usize);
     for &(u, t) in queries {
-        let result = index.top_k_with(scorer, u, t, k, &mut scratch);
-        examined += result.items_examined;
-        skipped += result.blocks_skipped;
+        let work = index.top_k_into(scorer, u, t, k, &mut scratch, &mut out);
+        examined += work.items_examined;
+        skipped += work.blocks_skipped;
     }
     let n = queries.len() as f64;
     (examined as f64 / n, skipped as f64 / n)

@@ -1,16 +1,18 @@
-//! The serving engine: cache → TA index → brute-force/fold-in fallback.
+//! The serving engine: cache → block-max kernel. Every query — a
+//! fitted user, an unseen id, or a supplied history — is one
+//! `vartheta_q` ranked by the snapshot's TA index.
 
 use crate::batch::balanced_query_shards;
 use crate::cache::{CacheKey, TopKCache};
-use crate::scratch::{Scratch, ScratchPool};
+use crate::scratch::ScratchPool;
 use crate::snapshot::ModelSnapshot;
 use crate::stats::{ServingStats, StatsRecorder};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
-use tcam_core::{FoldInRating, FoldedUser, TtcamModel};
+use tcam_core::FoldInRating;
 use tcam_data::{TimeId, UserId};
 use tcam_math::topk::Scored;
-use tcam_rec::{brute_force_top_k, TemporalScorer};
+use tcam_rec::{FoldedScorer, QueryScratch};
 
 /// A temporal top-k query `q = (u, t, k)` (paper Section 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,23 +32,16 @@ pub struct Query {
 pub enum Source {
     /// Served from the LRU cache.
     CacheHit,
-    /// Answered by the Threshold Algorithm over the snapshot index.
+    /// A fitted user, ranked by the block-max kernel.
     TaIndex,
-    /// Answered by a full brute-force scan (TCAM-BF).
+    /// No engine path produces this: every query goes through the
+    /// block-max kernel. It stays only because the benchmark
+    /// (`e2ebench`) matches on `Source` exhaustively; delete it together
+    /// with that match.
     BruteForce,
-    /// Answered via the fold-in path (unseen user or supplied history).
+    /// An unseen user or a supplied history, folded in and ranked by
+    /// the block-max kernel.
     FoldIn,
-}
-
-/// Scoring strategy for users the model was fitted on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoringMode {
-    /// Threshold Algorithm with early termination (default).
-    #[default]
-    Ta,
-    /// Full scan — the TCAM-BF comparator, useful for validation and
-    /// for measuring what TA saves.
-    BruteForce,
 }
 
 /// Engine tuning knobs.
@@ -56,8 +51,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Number of independently locked cache segments.
     pub cache_shards: usize,
-    /// Scoring strategy for in-population users.
-    pub mode: ScoringMode,
     /// EM iterations when folding in a supplied history.
     pub foldin_iterations: usize,
     /// Pseudo-count shrinkage toward the population lambda at fold-in.
@@ -69,7 +62,6 @@ impl Default for ServeConfig {
         ServeConfig {
             cache_capacity: 4096,
             cache_shards: 16,
-            mode: ScoringMode::Ta,
             foldin_iterations: 20,
             foldin_shrinkage: 1.0,
         }
@@ -88,43 +80,6 @@ pub struct Response {
     pub source: Source,
     /// Epoch of the snapshot that answered the query.
     pub epoch: u64,
-}
-
-/// Scores items for a folded-in user: the Eq. 1/12 mixture with the
-/// folded user-side parameters in place of fitted ones. The `UserId`
-/// argument of [`TemporalScorer`] is ignored — the folded parameters
-/// *are* the user.
-#[derive(Debug, Clone, Copy)]
-pub struct FoldedScorer<'a> {
-    /// The corpus-side parameters.
-    pub model: &'a TtcamModel,
-    /// The user-side parameters to score with.
-    pub folded: &'a FoldedUser,
-}
-
-impl TemporalScorer for FoldedScorer<'_> {
-    fn name(&self) -> &str {
-        "TTCAM (folded)"
-    }
-    fn num_items(&self) -> usize {
-        self.model.num_items()
-    }
-    // tcam-lint: allow-fn(no-panic) -- `item` is a catalog index < V by the
-    // TemporalScorer contract, matching every topic row's length
-    fn score(&self, _user: UserId, time: TimeId, item: usize) -> f64 {
-        let m = self.model;
-        let personal: f64 =
-            self.folded.interest.iter().enumerate().map(|(z, &w)| w * m.user_topic(z)[item]).sum();
-        let theta_t = m.temporal_context(time);
-        let context: f64 =
-            (0..m.num_time_topics()).map(|x| theta_t[x] * m.time_topic(x)[item]).sum();
-        let lam = self.folded.lambda;
-        let lam_b = m.background_weight();
-        (1.0 - lam_b) * (lam * personal + (1.0 - lam) * context) + lam_b * m.background()[item]
-    }
-    fn score_all(&self, _user: UserId, time: TimeId, out: &mut [f64]) {
-        self.model.predict_all_folded(self.folded, time, out);
-    }
 }
 
 /// Thread-safe query front end over an atomically swappable snapshot.
@@ -204,11 +159,15 @@ impl ServeEngine {
             self.config.foldin_shrinkage,
         );
         let scorer = FoldedScorer { model: snap.model(), folded: &folded };
-        let buffer = scratch.scores(snap.num_items());
-        let items = Arc::new(brute_force_top_k(&scorer, q.user, time, q.k, buffer));
-        let examined = snap.num_items();
-        self.stats.record(examined, 0, true, elapsed_nanos(start));
-        Response { items, items_examined: examined, source: Source::FoldIn, epoch: snap.epoch() }
+        let mut items = Vec::new();
+        let work = snap.index().top_k_into(&scorer, q.user, time, q.k, &mut scratch, &mut items);
+        self.stats.record(work.items_examined, work.blocks_skipped, true, elapsed_nanos(start));
+        Response {
+            items: Arc::new(items),
+            items_examined: work.items_examined,
+            source: Source::FoldIn,
+            epoch: snap.epoch(),
+        }
     }
 
     /// Answers a batch across up to `num_threads` scoped workers.
@@ -246,7 +205,7 @@ impl ServeEngine {
 
     /// The single-query hot path, shared by [`Self::query`] and the
     /// batch workers.
-    fn answer(&self, snap: &ModelSnapshot, scratch: &mut Scratch, q: Query) -> Response {
+    fn answer(&self, snap: &ModelSnapshot, scratch: &mut QueryScratch, q: Query) -> Response {
         let start = Instant::now();
         let time = clamp_time(snap, q.time);
         let key: CacheKey = (q.user.0, time.0, q.k.min(u32::MAX as usize) as u32);
@@ -261,33 +220,22 @@ impl ServeEngine {
             };
         }
 
-        let (items, examined, skipped, source, folded) = if q.user.index() < snap.num_users() {
-            match self.config.mode {
-                ScoringMode::Ta => {
-                    let result =
-                        snap.index().top_k_with(snap.model(), q.user, time, q.k, scratch.query());
-                    let examined = result.items_examined;
-                    (result.items, examined, result.blocks_skipped, Source::TaIndex, false)
-                }
-                ScoringMode::BruteForce => {
-                    let buffer = scratch.scores(snap.num_items());
-                    let items = brute_force_top_k(snap.model(), q.user, time, q.k, buffer);
-                    (items, snap.num_items(), 0, Source::BruteForce, false)
-                }
-            }
+        let (index, model) = (snap.index(), snap.model());
+        let mut items = Vec::new();
+        let (work, source) = if q.user.index() < snap.num_users() {
+            (index.top_k_into(model, q.user, time, q.k, scratch, &mut items), Source::TaIndex)
         } else {
-            // Unseen user, no history: back off to the snapshot's
-            // precomputed temporal-context-only mixture.
-            let scorer = FoldedScorer { model: snap.model(), folded: snap.default_folded() };
-            let buffer = scratch.scores(snap.num_items());
-            let items = brute_force_top_k(&scorer, q.user, time, q.k, buffer);
-            (items, snap.num_items(), 0, Source::FoldIn, true)
+            // Unseen user, no history: the snapshot's precomputed
+            // temporal-context-only prior.
+            let scorer = FoldedScorer { model, folded: snap.default_folded() };
+            (index.top_k_into(&scorer, q.user, time, q.k, scratch, &mut items), Source::FoldIn)
         };
 
         let items = Arc::new(items);
         self.cache.insert(key, snap.epoch(), Arc::clone(&items));
-        self.stats.record(examined, skipped, folded, elapsed_nanos(start));
-        Response { items, items_examined: examined, source, epoch: snap.epoch() }
+        let folded = source == Source::FoldIn;
+        self.stats.record(work.items_examined, work.blocks_skipped, folded, elapsed_nanos(start));
+        Response { items, items_examined: work.items_examined, source, epoch: snap.epoch() }
     }
 }
 
@@ -303,8 +251,9 @@ fn elapsed_nanos(start: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcam_core::FitConfig;
+    use tcam_core::{FitConfig, TtcamModel};
     use tcam_data::synth;
+    use tcam_rec::{brute_force_top_k, TemporalScorer};
 
     fn fitted(seed: u64) -> TtcamModel {
         let data = synth::SynthDataset::generate(synth::tiny(seed)).unwrap();
@@ -350,16 +299,28 @@ mod tests {
     }
 
     #[test]
-    fn brute_force_mode_matches_ta_mode() {
-        let ta = engine(401, ServeConfig::default());
-        let bf =
-            engine(401, ServeConfig { mode: ScoringMode::BruteForce, ..ServeConfig::default() });
-        let q = Query { user: UserId(2), time: TimeId(1), k: 10 };
-        let (rt, rb) = (ta.query(q), bf.query(q));
-        assert_eq!(rt.source, Source::TaIndex);
-        assert_eq!(rb.source, Source::BruteForce);
-        assert_same_scores(&rt.items, &rb.items);
-        assert!(rt.items_examined <= rb.items_examined);
+    fn fold_in_responses_are_the_kernel_answer() {
+        let eng = engine(401, ServeConfig::default());
+        let snap = eng.snapshot();
+        let unseen = UserId(snap.num_users() as u32 + 1);
+        let q = Query { user: unseen, time: TimeId(1), k: 4 };
+        let history = [FoldInRating { time: TimeId(0), item: 1, value: 1.0 }];
+        let folded = snap.model().fold_in_user(
+            &history,
+            eng.config().foldin_iterations,
+            eng.config().foldin_shrinkage,
+        );
+        for (response, folded) in
+            [(eng.query(q), snap.default_folded()), (eng.query_with_history(q, &history), &folded)]
+        {
+            assert_eq!(response.source, Source::FoldIn);
+            let scorer = FoldedScorer { model: snap.model(), folded };
+            let direct = snap.index().top_k(&scorer, q.user, q.time, q.k);
+            assert_same_scores(&response.items, &direct.items);
+            assert_eq!(response.items_examined, direct.items_examined);
+            assert!(response.items_examined <= snap.num_items());
+        }
+        assert_eq!(eng.stats().folded_queries, 2);
     }
 
     #[test]
@@ -515,15 +476,15 @@ mod tests {
         // many distinct queries.
         eng.query(Query { user: UserId(0), time: TimeId(0), k: 7 });
         let fingerprint = {
-            let mut guard = eng.scratch.checkout();
-            guard.query().fingerprint()
+            let guard = eng.scratch.checkout();
+            guard.fingerprint()
         };
         for u in 1..30u32 {
             eng.query(Query { user: UserId(u % 8), time: TimeId(u % 4), k: 1 + (u as usize % 7) });
         }
         let after = {
-            let mut guard = eng.scratch.checkout();
-            guard.query().fingerprint()
+            let guard = eng.scratch.checkout();
+            guard.fingerprint()
         };
         assert_eq!(fingerprint, after, "steady-state TA path must not reallocate");
     }

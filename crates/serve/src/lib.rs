@@ -13,11 +13,12 @@
 //!   with its prebuilt [`tcam_rec::TaIndex`], shared immutably via
 //!   [`std::sync::Arc`] so readers never block a model refresh.
 //! * [`ServeEngine`] — the query front end. Per query it consults a
-//!   bounded sharded LRU [`TopKCache`] keyed `(user, time, k)`, falls
-//!   back to the TA index (or a zero-allocation brute-force scan using
-//!   per-worker [`ScratchPool`] buffers), and degrades unseen users to
-//!   the temporal-context-only mixture via the fold-in path of
-//!   [`tcam_core::foldin`].
+//!   bounded sharded LRU [`TopKCache`] keyed `(user, time, k)`, then
+//!   ranks with the block-max kernel on a per-worker [`ScratchPool`]
+//!   scratch. Every query is one `vartheta_q` over the one index: a
+//!   fitted user's, the temporal-context-only prior for an unseen id,
+//!   or a history folded in by [`tcam_core::foldin`], the last two
+//!   through [`FoldedScorer`].
 //! * [`ServeEngine::query_batch`] — answers a batch across scoped
 //!   worker threads, sharded contiguously with the same balanced
 //!   discipline as `tcam_core::parallel`.
@@ -33,7 +34,8 @@ pub mod stats;
 
 pub use batch::balanced_query_shards;
 pub use cache::{CacheKey, TopKCache};
-pub use engine::{FoldedScorer, Query, Response, ScoringMode, ServeConfig, ServeEngine, Source};
-pub use scratch::{Scratch, ScratchGuard, ScratchPool};
+pub use engine::{Query, Response, ServeConfig, ServeEngine, Source};
+pub use scratch::{ScratchGuard, ScratchPool};
 pub use snapshot::ModelSnapshot;
 pub use stats::{Log2Histogram, ServingStats, StatsRecorder};
+pub use tcam_rec::FoldedScorer;

@@ -1,58 +1,21 @@
-//! Reusable per-worker scratch buffers.
+//! Reusable per-worker query scratch.
 //!
-//! The brute-force and fold-in scoring paths need one `f64` slot per
-//! catalog item. Allocating that per query would dominate small-catalog
-//! latency, so workers check a [`Scratch`] out of a shared pool, reuse
-//! it for every query they answer, and return it on drop. In steady
-//! state the pool holds one buffer per concurrent worker and the query
-//! path performs no heap allocation beyond its result vector.
+//! The block-max kernel keeps all per-query state in a
+//! [`QueryScratch`] whose buffers size themselves on first use and are
+//! stable thereafter. Workers check one out of a shared pool, reuse it
+//! for every query they answer, and return it on drop, so in steady
+//! state the pool holds one scratch per concurrent worker and the
+//! kernel performs no heap allocation beyond its result vector.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tcam_rec::QueryScratch;
 
-/// A reusable per-worker buffer.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    scores: Vec<f64>,
-    query: QueryScratch,
-}
-
-impl Scratch {
-    /// A zeroed score slice of exactly `num_items` slots. Resizing is a
-    /// no-op once the buffer has been used against the current catalog,
-    /// so repeated queries do not reallocate.
-    pub fn scores(&mut self, num_items: usize) -> &mut [f64] {
-        if self.scores.len() != num_items {
-            self.scores.resize(num_items, 0.0);
-        }
-        &mut self.scores
-    }
-
-    /// The worker's reusable TA/block-max kernel state; like
-    /// [`Self::scores`], its buffers size themselves on first use and
-    /// are stable thereafter, so the steady-state TA path allocates
-    /// nothing.
-    pub fn query(&mut self) -> &mut QueryScratch {
-        &mut self.query
-    }
-
-    /// Current buffer length (0 until first use).
-    pub fn len(&self) -> usize {
-        self.scores.len()
-    }
-
-    /// Whether the buffer has never been sized.
-    pub fn is_empty(&self) -> bool {
-        self.scores.is_empty()
-    }
-}
-
-/// A lock-guarded free list of [`Scratch`] buffers.
+/// A lock-guarded free list of [`QueryScratch`] buffers.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
-    idle: Mutex<Vec<Scratch>>,
+    idle: Mutex<Vec<QueryScratch>>,
     created: AtomicUsize,
 }
 
@@ -71,9 +34,9 @@ impl ScratchPool {
         let recycled = self.idle.lock().expect("scratch pool poisoned").pop();
         let scratch = recycled.unwrap_or_else(|| {
             self.created.fetch_add(1, Ordering::Relaxed);
-            Scratch::default()
+            QueryScratch::new()
         });
-        ScratchGuard { pool: self, scratch: Some(scratch) }
+        ScratchGuard { pool: self, scratch }
     }
 
     /// Total buffers ever allocated — in steady state this equals the
@@ -89,33 +52,33 @@ impl ScratchPool {
     }
 }
 
-/// RAII handle returning its buffer to the pool on drop.
+/// RAII handle returning its scratch to the pool on drop.
 #[derive(Debug)]
 pub struct ScratchGuard<'a> {
     pool: &'a ScratchPool,
-    scratch: Option<Scratch>,
+    scratch: QueryScratch,
 }
 
 impl Deref for ScratchGuard<'_> {
-    type Target = Scratch;
-    fn deref(&self) -> &Scratch {
-        // tcam-lint: allow(no-panic) -- the Option is only taken in Drop
-        self.scratch.as_ref().expect("scratch present until drop")
+    type Target = QueryScratch;
+    fn deref(&self) -> &QueryScratch {
+        &self.scratch
     }
 }
 
 impl DerefMut for ScratchGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Scratch {
-        // tcam-lint: allow(no-panic) -- the Option is only taken in Drop
-        self.scratch.as_mut().expect("scratch present until drop")
+    fn deref_mut(&mut self) -> &mut QueryScratch {
+        &mut self.scratch
     }
 }
 
 impl Drop for ScratchGuard<'_> {
     fn drop(&mut self) {
-        if let Some(scratch) = self.scratch.take() {
-            // tcam-lint: allow(no-panic) -- a poisoned pool means a panic already happened
-            self.pool.idle.lock().expect("scratch pool poisoned").push(scratch);
+        // The empty scratch left behind allocates nothing. A poisoned
+        // pool (a panic already happened) just drops the scratch: a
+        // panic in `drop` could abort the process.
+        if let Ok(mut idle) = self.pool.idle.lock() {
+            idle.push(std::mem::take(&mut self.scratch));
         }
     }
 }
@@ -128,9 +91,8 @@ mod tests {
     fn sequential_checkouts_reuse_one_buffer() {
         let pool = ScratchPool::new();
         for _ in 0..100 {
-            let mut guard = pool.checkout();
-            let scores = guard.scores(64);
-            scores[0] = 1.0;
+            let guard = pool.checkout();
+            std::hint::black_box(guard.fingerprint());
         }
         assert_eq!(pool.created(), 1, "drop must recycle, not leak");
         assert_eq!(pool.idle(), 1);
@@ -152,28 +114,14 @@ mod tests {
     }
 
     #[test]
-    fn scores_resize_is_stable() {
-        let pool = ScratchPool::new();
-        let mut guard = pool.checkout();
-        assert!(guard.is_empty());
-        guard.scores(10)[9] = 3.0;
-        assert_eq!(guard.len(), 10);
-        // Same size: contents slot count unchanged.
-        assert_eq!(guard.scores(10).len(), 10);
-        // Catalog change (snapshot swap): buffer follows.
-        assert_eq!(guard.scores(4).len(), 4);
-    }
-
-    #[test]
     fn pool_is_usable_across_threads() {
         let pool = ScratchPool::new();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..50 {
-                        let mut guard = pool.checkout();
-                        let scores = guard.scores(32);
-                        scores[31] += 1.0;
+                        let guard = pool.checkout();
+                        std::hint::black_box(guard.fingerprint());
                     }
                 });
             }

@@ -1,18 +1,26 @@
-//! Property tests for the query kernels against a *synthetic* factored
-//! scorer with adversarial weight structure the fitted models rarely
-//! produce: heavy duplicate/tied item weights, zero query weights,
-//! single-factor queries, and catalogs that straddle block boundaries.
+//! Property tests for the query kernels.
 //!
-//! Weights are drawn from the dyadic grid {0, 1/8, ..., 1}, so every
-//! product and partial sum is exactly representable in an f64 —
-//! scores that tie do so *exactly* in every summation order, which makes
-//! outright item-id comparison against brute force meaningful (the
-//! deterministic tie-break must hold, not just score closeness).
+//! First against a *synthetic* factored scorer with adversarial weight
+//! structure the fitted models rarely produce: heavy duplicate/tied
+//! item weights, zero query weights, single-factor queries, and
+//! catalogs that straddle block boundaries. Weights are drawn from the
+//! dyadic grid {0, 1/8, ..., 1}, so every product and partial sum is
+//! exactly representable in an f64 — scores that tie do so *exactly* in
+//! every summation order, which makes outright item-id comparison
+//! against brute force meaningful (the deterministic tie-break must
+//! hold, not just score closeness).
+//!
+//! Then against a fitted TTCAM for every kind of query the serving
+//! engine ranks: fitted users, and folded users (the cold-start prior,
+//! pure-interest and random mixtures) through [`FoldedScorer`].
 
-use tcam::data::{TimeId, UserId};
-use tcam::math::Pcg64;
+use std::sync::OnceLock;
+use tcam::core::{FitConfig, FoldedUser, TtcamModel};
+use tcam::data::{synth, SynthDataset, TimeId, UserId};
+use tcam::math::topk::Scored;
+use tcam::math::{vecops, Pcg64};
 use tcam::rec::ta::{brute_force_top_k, QueryScratch, TaIndex};
-use tcam::rec::{FactoredScorer, TemporalScorer};
+use tcam::rec::{FactoredScorer, FoldedScorer, TaResult, TemporalScorer};
 
 /// A factored scorer whose weights live on the dyadic grid; `user` and
 /// `time` are ignored — one instance is one query.
@@ -64,17 +72,55 @@ impl FactoredScorer for GridScorer {
     fn factor_items(&self, z: usize) -> &[f64] {
         &self.factors[z]
     }
-    fn query_factors(&self, _user: UserId, _time: TimeId) -> Vec<(usize, f64)> {
+    fn query_factors_into(&self, _user: UserId, _time: TimeId, out: &mut Vec<(usize, f64)>) {
         // Zero weights included: the kernels must tolerate them.
-        self.query.iter().enumerate().map(|(z, &w)| (z, w)).collect()
+        out.clear();
+        out.extend(self.query.iter().enumerate().map(|(z, &w)| (z, w)));
     }
 }
 
-fn assert_ids_and_scores_equal(
-    kernel: &[tcam::math::topk::Scored],
-    bf: &[tcam::math::topk::Scored],
-    label: &str,
-) {
+/// Both pruned kernels on one shared scratch: `[block-max, classic]`.
+fn both_kernels<S: FactoredScorer>(
+    index: &TaIndex,
+    scorer: &S,
+    user: UserId,
+    time: TimeId,
+    k: usize,
+    scratch: &mut QueryScratch,
+) -> [TaResult; 2] {
+    let (mut blockmax, mut classic) = (Vec::new(), Vec::new());
+    let blockmax_work = index.top_k_into(scorer, user, time, k, scratch, &mut blockmax);
+    let classic_work = index.top_k_classic_into(scorer, user, time, k, scratch, &mut classic);
+    [blockmax_work.with_items(blockmax), classic_work.with_items(classic)]
+}
+
+/// A fitted TTCAM over a four-block catalog, without and with a
+/// background weight, each with its index; fitted once for all cases.
+fn fitted_models() -> &'static [(TtcamModel, TaIndex); 2] {
+    static MODELS: OnceLock<[(TtcamModel, TaIndex); 2]> = OnceLock::new();
+    MODELS.get_or_init(|| {
+        let mut cfg = synth::tiny(61);
+        cfg.num_items = 200;
+        let data = SynthDataset::generate(cfg).unwrap();
+        [0.0, 0.2].map(|lambda_b| {
+            let config = FitConfig::default()
+                .with_user_topics(4)
+                .with_time_topics(3)
+                .with_iterations(6)
+                .with_background(lambda_b)
+                .with_seed(61);
+            let model = TtcamModel::fit(&data.cuboid, &config).unwrap().model;
+            let index = TaIndex::build(&model);
+            (model, index)
+        })
+    })
+}
+
+fn bits(items: &[Scored]) -> Vec<(usize, u64)> {
+    items.iter().map(|s| (s.index, s.score.to_bits())).collect()
+}
+
+fn assert_ids_and_scores_equal(kernel: &[Scored], bf: &[Scored], label: &str) {
     assert_eq!(kernel.len(), bf.len(), "{label}: size");
     for (rank, (a, b)) in kernel.iter().zip(bf.iter()).enumerate() {
         assert_eq!(a.index, b.index, "{label}: rank {rank} item {} vs {}", a.index, b.index);
@@ -113,9 +159,8 @@ proptest! {
         let (user, time) = (UserId(0), TimeId(0));
 
         let bf = brute_force_top_k(&scorer, user, time, k, &mut buffer);
-        let blockmax = index.top_k_with(&scorer, user, time, k, &mut scratch);
+        let [blockmax, classic] = both_kernels(&index, &scorer, user, time, k, &mut scratch);
         assert_ids_and_scores_equal(&blockmax.items, &bf, "block-max");
-        let classic = index.top_k_classic_with(&scorer, user, time, k, &mut scratch);
         assert_ids_and_scores_equal(&classic.items, &bf, "classic TA");
         prop_assert!(blockmax.items_examined <= num_items);
         prop_assert!(blockmax.blocks_skipped <= index.num_blocks());
@@ -149,9 +194,76 @@ proptest! {
                     || (pair[0].score == pair[1].score && pair[0].index < pair[1].index)
             );
         }
-        let blockmax = index.top_k_with(&scorer, user, time, k, &mut scratch);
+        let [blockmax, classic] = both_kernels(&index, &scorer, user, time, k, &mut scratch);
         assert_ids_and_scores_equal(&blockmax.items, &bf, "block-max/ties");
-        let classic = index.top_k_classic_with(&scorer, user, time, k, &mut scratch);
         assert_ids_and_scores_equal(&classic.items, &bf, "classic/ties");
+    }
+
+    /// Folded users rank through the kernels exactly as brute force
+    /// does, item ids compared outright: `lambda` is 0 (the cold-start
+    /// prior), 1 or random; the interest has zero entries; `k` runs
+    /// from 0 through small values to the whole catalog and past it.
+    /// `FoldedScorer::score_all` shares the kernels' arithmetic, so
+    /// scores agree bitwise too.
+    #[test]
+    fn folded_users_equal_brute_force(
+        background in 0usize..2,
+        lambda_kind in 0usize..3,
+        lambda_draw in 0.0f64..1.0,
+        interest in prop::collection::vec(0usize..3, 4..5),
+        time in 0usize..64,
+        k_draw in 0usize..48,
+    ) {
+        let (model, index) = &fitted_models()[background];
+        let lambda = [0.0, 1.0, lambda_draw][lambda_kind];
+        let mut interest: Vec<f64> = interest.iter().map(|&w| w as f64).collect();
+        vecops::normalize_in_place(&mut interest);
+        let folded = FoldedUser { interest, lambda };
+        let scorer = FoldedScorer { model, folded: &folded };
+        let v = model.num_items();
+        let k = if k_draw < 40 { k_draw } else { v + k_draw - 40 };
+        let (user, time) = (UserId(0), TimeId::from(time % model.num_times()));
+
+        let mut buffer = vec![0.0; v];
+        let bf = brute_force_top_k(&scorer, user, time, k, &mut buffer);
+        prop_assert_eq!(bf.len(), k.min(v));
+        let mut scratch = QueryScratch::new();
+        let [blockmax, classic] = both_kernels(index, &scorer, user, time, k, &mut scratch);
+        prop_assert_eq!(bits(&blockmax.items), bits(&bf));
+        prop_assert_eq!(bits(&classic.items), bits(&bf));
+        prop_assert!(blockmax.items_examined <= v);
+    }
+}
+
+/// A `FoldedUser` holding a fitted user's own `theta_u` and `lambda_u`
+/// is that user: the same query factors and the same top-k, bit for
+/// bit, as the fitted path.
+#[test]
+fn folded_copy_of_a_fitted_user_is_bitwise_the_fitted_path() {
+    let factor_bits =
+        |f: &[(usize, f64)]| f.iter().map(|&(z, w)| (z, w.to_bits())).collect::<Vec<_>>();
+    for (model, index) in fitted_models() {
+        let mut scratch = QueryScratch::new();
+        let (mut fitted_factors, mut folded_factors) = (Vec::new(), Vec::new());
+        let (mut fitted_top, mut folded_top) = (Vec::new(), Vec::new());
+        for u in (0..model.num_users()).step_by(3) {
+            let user = UserId::from(u);
+            let folded = FoldedUser {
+                interest: model.user_interest(user).to_vec(),
+                lambda: model.lambda(user),
+            };
+            let scorer = FoldedScorer { model, folded: &folded };
+            for t in 0..model.num_times() {
+                let time = TimeId::from(t);
+                model.query_factors_into(user, time, &mut fitted_factors);
+                scorer.query_factors_into(user, time, &mut folded_factors);
+                assert_eq!(factor_bits(&fitted_factors), factor_bits(&folded_factors));
+                for k in [1, 10, model.num_items()] {
+                    index.top_k_into(model, user, time, k, &mut scratch, &mut fitted_top);
+                    index.top_k_into(&scorer, user, time, k, &mut scratch, &mut folded_top);
+                    assert_eq!(bits(&fitted_top), bits(&folded_top), "u{u} t{t} k{k}");
+                }
+            }
+        }
     }
 }

@@ -1,16 +1,14 @@
 //! Serving-engine integration: every path through the engine — TA,
-//! brute force, cache hit, fold-in backoff, batch — must return exactly
-//! the scores of a direct `brute_force_top_k` scan (to 1e-10), and the
-//! operational machinery (cache counters, snapshot swap, stats) must
-//! reflect the traffic that was served.
+//! cache hit, fold-in backoff, history fold-in, batch — must return
+//! exactly the items of a direct `brute_force_top_k` scan (ids outright,
+//! scores to 1e-10), and the operational machinery (cache counters,
+//! snapshot swap, stats) must reflect the traffic that was served.
 
 use std::sync::Arc;
 use tcam::core::FoldInRating;
 use tcam::prelude::*;
 use tcam::rec::brute_force_top_k;
-use tcam::serve::{
-    FoldedScorer, ModelSnapshot, Query, Response, ScoringMode, ServeConfig, ServeEngine, Source,
-};
+use tcam::serve::{FoldedScorer, ModelSnapshot, Query, Response, ServeConfig, ServeEngine, Source};
 
 fn fitted_model(seed: u64) -> TtcamModel {
     let data = SynthDataset::generate(tcam::data::synth::tiny(seed)).unwrap();
@@ -25,6 +23,7 @@ fn fitted_model(seed: u64) -> TtcamModel {
 fn assert_exact(response: &Response, expected: &[tcam::math::topk::Scored], label: &str) {
     assert_eq!(response.items.len(), expected.len(), "{label}: result size");
     for (i, (a, b)) in response.items.iter().zip(expected.iter()).enumerate() {
+        assert_eq!(a.index, b.index, "{label}: rank {i} item {} vs {}", a.index, b.index);
         assert!(
             (a.score - b.score).abs() < 1e-10,
             "{label}: rank {i} score {} vs brute force {}",
@@ -63,22 +62,42 @@ fn cached_and_uncached_answers_match_brute_force() {
 }
 
 #[test]
-fn brute_force_mode_is_exact_too() {
+fn every_source_is_exact_with_the_cache_off() {
+    // No cache: every answer is computed by the block-max kernel, for
+    // fitted users, unseen ids and supplied histories alike.
     let model = fitted_model(501);
-    let engine = ServeEngine::new(
-        ModelSnapshot::new(model, 1),
-        ServeConfig { mode: ScoringMode::BruteForce, cache_capacity: 0, ..ServeConfig::default() },
-    );
+    let config = ServeConfig { cache_capacity: 0, ..ServeConfig::default() };
+    let engine = ServeEngine::new(ModelSnapshot::new(model, 1), config);
     let snap = engine.snapshot();
     let mut buffer = vec![0.0; snap.num_items()];
+    let history = [FoldInRating { time: TimeId(0), item: 3, value: 1.0 }];
+    let folded = snap.model().fold_in_user(
+        &history,
+        engine.config().foldin_iterations,
+        engine.config().foldin_shrinkage,
+    );
     for u in 0..8 {
         let q = Query { user: UserId(u), time: TimeId(u % 4), k: 7 };
         let bf = brute_force_top_k(snap.model(), q.user, q.time, q.k, &mut buffer);
         let response = engine.query(q);
-        assert_eq!(response.source, Source::BruteForce);
-        assert_eq!(response.items_examined, snap.num_items());
-        assert_exact(&response, &bf, "brute-force mode");
+        assert_eq!(response.source, Source::TaIndex);
+        assert!(response.items_examined <= snap.num_items());
+        assert_exact(&response, &bf, "fitted");
+
+        let cold = Query { user: UserId::from(snap.num_users() + u as usize), ..q };
+        let scorer = FoldedScorer { model: snap.model(), folded: snap.default_folded() };
+        let bf = brute_force_top_k(&scorer, q.user, q.time, q.k, &mut buffer);
+        let response = engine.query(cold);
+        assert_eq!(response.source, Source::FoldIn);
+        assert_exact(&response, &bf, "cold");
+
+        let scorer = FoldedScorer { model: snap.model(), folded: &folded };
+        let bf = brute_force_top_k(&scorer, q.user, q.time, q.k, &mut buffer);
+        let response = engine.query_with_history(q, &history);
+        assert_eq!(response.source, Source::FoldIn);
+        assert_exact(&response, &bf, "history");
     }
+    assert_eq!(engine.stats().queries, 24);
 }
 
 #[test]

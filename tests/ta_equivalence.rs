@@ -8,6 +8,22 @@
 use tcam::prelude::*;
 use tcam::rec::brute_force_top_k;
 use tcam::rec::ta::QueryScratch;
+use tcam::rec::TaResult;
+
+/// Both pruned kernels on one shared scratch: `[block-max, classic]`.
+fn both_kernels<S: FactoredScorer>(
+    index: &TaIndex,
+    scorer: &S,
+    user: UserId,
+    time: TimeId,
+    k: usize,
+    scratch: &mut QueryScratch,
+) -> [TaResult; 2] {
+    let (mut blockmax, mut classic) = (Vec::new(), Vec::new());
+    let blockmax_work = index.top_k_into(scorer, user, time, k, scratch, &mut blockmax);
+    let classic_work = index.top_k_classic_into(scorer, user, time, k, scratch, &mut classic);
+    [blockmax_work.with_items(blockmax), classic_work.with_items(classic)]
+}
 
 fn assert_exact_match(
     kernel: &[tcam::math::topk::Scored],
@@ -46,9 +62,8 @@ where
             for k in [1usize, 3, 5, 10, 50] {
                 let detail = format!("u{u}, t{t}, k{k}");
                 let bf = brute_force_top_k(model, user, time, k, &mut buffer);
-                let blockmax = index.top_k_with(model, user, time, k, &mut scratch);
+                let [blockmax, classic] = both_kernels(&index, model, user, time, k, &mut scratch);
                 assert_exact_match(&blockmax.items, &bf, label, &detail);
-                let classic = index.top_k_classic_with(model, user, time, k, &mut scratch);
                 assert_exact_match(&classic.items, &bf, label, &detail);
                 total_examined += blockmax.items_examined;
                 queries += 1;
@@ -124,14 +139,14 @@ fn ta_saves_work_on_larger_catalog() {
         .with_seed(7);
     let model = TtcamModel::fit(&data.cuboid, &config).expect("fit").model;
     let index = TaIndex::build_with_threads(&model, 2);
-    let mut scratch = QueryScratch::new();
+    let (mut scratch, mut out) = (QueryScratch::new(), Vec::new());
     let mut total = 0usize;
     let mut skipped = 0usize;
     let n = 50;
     for i in 0..n {
         let user = UserId::from((i * 13) % data.cuboid.num_users());
         let time = TimeId::from(i % data.cuboid.num_times());
-        let result = index.top_k_with(&model, user, time, 10, &mut scratch);
+        let result = index.top_k_into(&model, user, time, 10, &mut scratch, &mut out);
         total += result.items_examined;
         skipped += result.blocks_skipped;
     }
@@ -190,10 +205,7 @@ proptest! {
             for t in 0..weighted.num_times() {
                 let (user, time) = (UserId::from(u), TimeId::from(t));
                 let bf = brute_force_top_k(&wttcam, user, time, k, &mut buffer);
-                for result in [
-                    tt_index.top_k_with(&wttcam, user, time, k, &mut scratch),
-                    tt_index.top_k_classic_with(&wttcam, user, time, k, &mut scratch),
-                ] {
+                for result in both_kernels(&tt_index, &wttcam, user, time, k, &mut scratch) {
                     prop_assert_eq!(result.items.len(), bf.len());
                     for (a, b) in result.items.iter().zip(bf.iter()) {
                         prop_assert_eq!(a.index, b.index);
@@ -204,10 +216,7 @@ proptest! {
                     }
                 }
                 let bf = brute_force_top_k(&witcam, user, time, k, &mut buffer);
-                for result in [
-                    it_index.top_k_with(&witcam, user, time, k, &mut scratch),
-                    it_index.top_k_classic_with(&witcam, user, time, k, &mut scratch),
-                ] {
+                for result in both_kernels(&it_index, &witcam, user, time, k, &mut scratch) {
                     prop_assert_eq!(result.items.len(), bf.len());
                     for (a, b) in result.items.iter().zip(bf.iter()) {
                         prop_assert_eq!(a.index, b.index);

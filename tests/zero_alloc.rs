@@ -7,8 +7,9 @@
 //! `#[global_allocator]` and asserts the real thing:
 //!
 //! - a steady-state pruned query (block-max, classic TA, and the dense
-//!   fallback) performs **zero** heap events once its scratch and
-//!   output buffers are warm, and
+//!   fallback, for fitted users and for the cold-start prior of users
+//!   the model has never seen) performs **zero** heap events once its
+//!   scratch and output buffers are warm, and
 //! - a warm EM iteration (serial `fit_warm` resuming from a converged
 //!   model, the online-refresh path of DESIGN.md §13) allocates
 //!   nothing after the training-loop buffers are built: fits differing
@@ -21,6 +22,8 @@ use tcam::core::ItcamModel;
 use tcam::data::synth;
 use tcam::prelude::*;
 use tcam::rec::ta::QueryScratch;
+use tcam::rec::FoldedScorer;
+use tcam::serve::ModelSnapshot;
 use tcam_analysis::{allocation_events, deallocation_events, CountingAlloc};
 
 #[global_allocator]
@@ -39,11 +42,13 @@ fn fitted_model() -> (SynthDataset, TtcamModel) {
 
 /// The steady-state serving loop — warm [`QueryScratch`] plus a warm
 /// caller-owned output buffer, queried through the `_into` kernels —
-/// must not touch the heap at all.
+/// must not touch the heap at all, for fitted and cold users alike.
 #[test]
 fn steady_state_queries_are_allocation_free() {
     let (data, model) = fitted_model();
-    let index = TaIndex::build(&model);
+    let snap = ModelSnapshot::new(model, 1);
+    let (model, index) = (snap.model(), snap.index());
+    let cold = FoldedScorer { model, folded: snap.default_folded() };
     let mut scratch = QueryScratch::new();
     let mut out = Vec::new();
     let dense_k = model.num_items();
@@ -52,8 +57,9 @@ fn steady_state_queries_are_allocation_free() {
     // and the dense fallback) at every k the measured loop will ask for.
     for u in 0..4u32 {
         for k in [5, 10, dense_k] {
-            index.top_k_into(&model, UserId(u), TimeId(0), k, &mut scratch, &mut out);
-            index.top_k_classic_into(&model, UserId(u), TimeId(0), k, &mut scratch, &mut out);
+            index.top_k_into(model, UserId(u), TimeId(0), k, &mut scratch, &mut out);
+            index.top_k_classic_into(model, UserId(u), TimeId(0), k, &mut scratch, &mut out);
+            index.top_k_into(&cold, UserId(u), TimeId(0), k, &mut scratch, &mut out);
         }
     }
 
@@ -62,14 +68,17 @@ fn steady_state_queries_are_allocation_free() {
     for round in 0..50u32 {
         let u = UserId(round % data.cuboid.num_users() as u32);
         let t = TimeId(round % data.cuboid.num_times() as u32);
-        let stats = index.top_k_into(&model, u, t, 5, &mut scratch, &mut out);
+        let stats = index.top_k_into(model, u, t, 5, &mut scratch, &mut out);
         assert!(out.len() <= 5);
         assert!(stats.items_examined <= model.num_items());
-        index.top_k_classic_into(&model, u, t, 10, &mut scratch, &mut out);
+        index.top_k_classic_into(model, u, t, 10, &mut scratch, &mut out);
         assert!(out.len() <= 10);
         // k = V routes through the dense fallback path.
-        index.top_k_into(&model, u, t, dense_k, &mut scratch, &mut out);
+        index.top_k_into(model, u, t, dense_k, &mut scratch, &mut out);
         assert_eq!(out.len(), dense_k);
+        // An unseen user: the cold-start prior through the same kernel.
+        index.top_k_into(&cold, u, t, 10, &mut scratch, &mut out);
+        assert_eq!(out.len(), 10);
     }
     assert_eq!(allocation_events() - allocs, 0, "steady-state queries allocated on a warm scratch");
     assert_eq!(
