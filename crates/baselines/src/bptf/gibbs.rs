@@ -161,7 +161,7 @@ impl GibbsSampler {
                     }
                 }
                 precision.rank_one_update(&q, alpha)?;
-                tcam_math::vecops::axpy(&mut linear, &q, alpha * o.value);
+                tcam_math::vecops::scaled_add(&mut linear, &q, alpha * o.value);
             }
             precision.symmetrize();
             let row = sample_gaussian_row(&precision, &linear, rng)?;
@@ -208,7 +208,7 @@ impl GibbsSampler {
                     *qd = a * b;
                 }
                 precision.rank_one_update(&q, alpha)?;
-                tcam_math::vecops::axpy(&mut linear, &q, alpha * o.value);
+                tcam_math::vecops::scaled_add(&mut linear, &q, alpha * o.value);
             }
             precision.symmetrize();
             let row = sample_gaussian_row(&precision, &linear, rng)?;

@@ -177,9 +177,9 @@ impl UserTopicModel {
         let theta_u = self.theta.row(user.index());
         for z in 0..self.num_topics() {
             let w = (1.0 - self.background_weight) * theta_u[z];
-            tcam_math::vecops::axpy(scores, self.phi.row(z), w);
+            tcam_math::vecops::scaled_add(scores, self.phi.row(z), w);
         }
-        tcam_math::vecops::axpy(scores, &self.background, self.background_weight);
+        tcam_math::vecops::scaled_add(scores, &self.background, self.background_weight);
     }
 
     /// A topic's item distribution `P(v | phi_z)`.

@@ -36,7 +36,7 @@ impl TemporalScorer for Mix<'_> {
             *o *= self.w;
         }
         self.tt.predict_all(time, &mut tmp);
-        tcam_math::vecops::axpy(out, &tmp, 1.0 - self.w);
+        tcam_math::vecops::scaled_add(out, &tmp, 1.0 - self.w);
     }
 }
 

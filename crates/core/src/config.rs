@@ -191,19 +191,6 @@ impl<M> FitResult<M> {
     }
 }
 
-/// Eq. 11 with optional empirical-Bayes shrinkage toward the global
-/// mean: `lambda_u = (s * lambda_bar + num_u) / (s + den_u)`.
-pub(crate) fn update_lambda(shrinkage: f64, lambda_num: &[f64], mass: &[f64], lambda: &mut [f64]) {
-    let total_num: f64 = lambda_num.iter().sum();
-    let total_mass: f64 = mass.iter().sum();
-    let global = if total_mass > 0.0 { total_num / total_mass } else { 0.5 };
-    for (u, lam) in lambda.iter_mut().enumerate() {
-        if mass[u] > 0.0 || shrinkage > 0.0 {
-            *lam = (shrinkage * global + lambda_num[u]) / (shrinkage + mass[u]);
-        }
-    }
-}
-
 /// Draws a random distribution (uniform + noise, normalized) — the
 /// standard PLSA-style initialization that keeps every cell strictly
 /// positive so EM's multiplicative updates never divide by zero.

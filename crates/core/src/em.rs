@@ -3,9 +3,11 @@
 //! ITCAM and TTCAM differ only in their temporal context, so [`fit`]
 //! owns everything else: the shared interest side (Eqs. 4–9, 11), the
 //! shard dispatch, the merge, the convergence test, and the buffers.
-//! A variant plugs in its context through [`TemporalContext`]. Every
-//! iteration is (a) allocation-free and (b) bitwise reproducible across
-//! thread counts. The key ideas:
+//! A variant plugs in its context through [`TemporalContext`]. The
+//! per-user E-step, [`user_e_step`], is fold-in's too (`foldin.rs`),
+//! run there with the corpus side frozen. Every iteration is (a)
+//! allocation-free and (b) bitwise reproducible across thread counts.
+//! The key ideas:
 //!
 //! * **Fixed shard plan.** The user partition is a function of the
 //!   *data* (entry count), never of `num_threads`. Threads only pick up
@@ -25,7 +27,7 @@
 //!   `gap = 1, 2, 4, ...`. The tree's shape depends only on the shard
 //!   count, and each level's merges are independent (parallelizable).
 
-use crate::config::{update_lambda, FitConfig, FitResult, FitTrace};
+use crate::config::{FitConfig, FitResult, FitTrace};
 use crate::parallel::run_tasks;
 use crate::{ModelError, Result};
 use std::ops::Range;
@@ -182,12 +184,13 @@ pub(crate) fn fit<C: TemporalContext>(
         normalize_rows(&user_stats.theta_num, &mut params.theta);
         column_normalize(&scratch[0].phi_item_num, &mut params.phi_item, &mut col_sums);
         params.temporal.m_step();
-        update_lambda(
-            config.lambda_shrinkage,
-            &user_stats.lambda_num,
-            &user_stats.mass,
-            &mut params.lambda,
-        );
+        let UserStats { lambda_num, mass, .. } = &user_stats;
+        let total_mass: f64 = mass.iter().sum();
+        let global =
+            if total_mass > 0.0 { lambda_num.iter().sum::<f64>() / total_mass } else { 0.5 };
+        for ((lam, &num), &m) in params.lambda.iter_mut().zip(lambda_num).zip(mass) {
+            *lam = next_lambda(*lam, config.lambda_shrinkage, global, num, m);
+        }
     }
     FitResult { model: (params, background), trace, converged }
 }
@@ -271,49 +274,108 @@ fn e_step_user<C: TemporalContext>(
     lam_b: f64,
     shard: &mut Shard<'_>,
 ) {
-    let lam = params.lambda[u];
-    // Per-user mixture weights, hoisted out of the entry loop. With
-    // them the responsibilities collapse to one division per rating:
-    // `scale = c*post1/a_sum` and `c*post0/b` both cancel their
-    // normalizer (`post1 = w1*a_sum/denom`), leaving `inv * w1` and
-    // `inv * w0` with `inv = c/denom`.
-    let w1 = (1.0 - lam_b) * lam;
-    let w0 = (1.0 - lam_b) * (1.0 - lam);
-    let theta_u = params.theta.row(u);
     let range = cuboid.user_entry_range(UserId::from(u));
     let entries = &cuboid.entries()[range.clone()];
-    let weights = &mut shard.weights[range.start - shard.entry_base..][..entries.len()];
-    let contexts = params.temporal.contexts(cuboid, range);
-    let theta_num_u = shard.stats.theta_row_mut(u);
-    let phi_item_num = &mut shard.scratch.phi_item_num;
+    let mut weights = shard.weights[range.start - shard.entry_base..][..entries.len()].iter_mut();
+    let cells = entries.iter().zip(params.temporal.contexts(cuboid, range)).map(|(r, context)| {
+        let v = r.item.index();
+        Cell { row: v, c: r.value, context, background: background[v] }
+    });
+    let phi = Phi::Scatter(&params.phi_item, &mut shard.scratch.phi_item_num);
+    let record = |inv: Option<f64>, w0, context| {
+        if let Some(w) = weights.next() {
+            *w = inv.map_or(0.0, |inv| C::entry_weight(inv, w0, context));
+        }
+    };
+    let theta_u = params.theta.row(u);
+    let theta_num = shard.stats.theta_row_mut(u);
+    let (lambda_num, mass, ll) =
+        user_e_step(theta_u, params.lambda[u], lam_b, cells, phi, theta_num, record);
+    shard.scratch.log_likelihood += ll;
+    shard.stats.lambda_mass_add(u, lambda_num, mass);
+}
+
+/// One cell of a user's E-step: its `phi` row (training: the item;
+/// fold-in: the cell's gathered row), rating weight `c`, context
+/// likelihood `P(v | theta'_t)` and background `theta_B[v]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cell {
+    pub row: usize,
+    pub c: f64,
+    pub context: f64,
+    pub background: f64,
+}
+
+/// The `phi` rows a user's E-step reads, and what it does with each
+/// cell's interest responsibilities besides adding them to `theta_num`.
+pub(crate) enum Phi<'a> {
+    /// Training: `(phi, num)`, item-major; the responsibilities are
+    /// scattered into the shard's `phi` numerator `num` too.
+    Scatter(&'a Matrix, &'a mut Matrix),
+    /// Fold-in: `phi` is frozen; cell rows are `K1`-wide slices of this.
+    Frozen(&'a [f64]),
+}
+
+/// The per-user E-step (Eqs. 4–6, 11) that training and fold-in both
+/// run: the responsibilities of every cell under `theta_u` and
+/// `lambda`, accumulated into `theta_num` and as `phi` says. `record`
+/// sees each cell's `inv` (`None` when zero-mass), `w0` and context
+/// likelihood, in order. Returns the Eq. 11 numerator and mass and the
+/// log-likelihood.
+///
+/// The per-user mixture weights are hoisted out of the cell loop. With
+/// them the responsibilities collapse to one division per cell:
+/// `scale = c*post1/a_sum` and `c*post0/b` both cancel their normalizer
+/// (`post1 = w1*a_sum/denom`), leaving `inv * w1` and `inv * w0` with
+/// `inv = c/denom`.
+// tcam-lint: hot
+#[inline]
+pub(crate) fn user_e_step(
+    theta_u: &[f64],
+    lambda: f64,
+    lam_b: f64,
+    cells: impl Iterator<Item = Cell>,
+    mut phi: Phi<'_>,
+    theta_num: &mut [f64],
+    mut record: impl FnMut(Option<f64>, f64, f64),
+) -> (f64, f64, f64) {
+    let w1 = (1.0 - lam_b) * lambda;
+    let w0 = (1.0 - lam_b) * (1.0 - lambda);
     let mut lambda_num = 0.0;
     let mut mass = 0.0;
     let mut ll = LogLikelihoodAcc::new();
-    for ((r, b), w_out) in entries.iter().zip(contexts).zip(weights.iter_mut()) {
-        let v = r.item.index();
-        let c = r.value;
-        let phi_v = params.phi_item.row(v);
-        vecops::dot_dual_update(theta_num_u, phi_item_num.row_mut(v), theta_u, phi_v, {
-            let (ll, lambda_num, mass) = (&mut ll, &mut lambda_num, &mut mass);
-            move |a_sum| {
-                let p1 = w1 * a_sum;
-                let p0 = w0 * b;
-                let denom = lam_b * background[v] + p1 + p0;
-                let Some(inv) = responsibility(c, denom) else {
-                    ll.add_floor(c);
-                    *w_out = 0.0;
-                    return 0.0;
-                };
-                ll.add(c, denom);
-                *w_out = C::entry_weight(inv, w0, b);
-                *lambda_num += inv * p1;
-                *mass += inv * (p1 + p0);
-                inv * w1
+    for cell in cells {
+        let mut kept = None;
+        let mut scale_of = |a_sum: f64| {
+            let p1 = w1 * a_sum;
+            let p0 = w0 * cell.context;
+            let denom = lam_b * cell.background + p1 + p0;
+            let Some(inv) = responsibility(cell.c, denom) else {
+                ll.add_floor(cell.c);
+                return 0.0;
+            };
+            ll.add(cell.c, denom);
+            lambda_num += inv * p1;
+            mass += inv * (p1 + p0);
+            kept = Some(inv);
+            inv * w1
+        };
+        match &mut phi {
+            Phi::Scatter(phi, num) => {
+                let (phi_v, num_v) = (phi.row(cell.row), num.row_mut(cell.row));
+                vecops::dot_dual_update(theta_num, num_v, theta_u, phi_v, scale_of);
             }
-        });
+            Phi::Frozen(rows) => {
+                let phi_v = &rows[cell.row * theta_u.len()..][..theta_u.len()];
+                let k = scale_of(vecops::dot_unrolled(theta_u, phi_v));
+                if k != 0.0 {
+                    vecops::scaled_mul_add(theta_num, theta_u, phi_v, k);
+                }
+            }
+        }
+        record(kept, w0, cell.context);
     }
-    shard.scratch.log_likelihood += ll.finish();
-    shard.stats.lambda_mass_add(u, lambda_num, mass);
+    (lambda_num, mass, ll.finish())
 }
 
 /// The E-step's one division, `inv = c / denom`, or `None` when the
@@ -321,11 +383,26 @@ fn e_step_user<C: TemporalContext>(
 /// (its log-likelihood is floored). That is `denom <= 0`, which only
 /// degenerate inputs reach, but also a subnormal `denom` whose quotient
 /// overflows to `inf` — the M-step would turn that into NaN `lambda`
-/// for every user. Shared by the training E-step and fold-in.
+/// for every user.
 #[inline]
-pub(crate) fn responsibility(c: f64, denom: f64) -> Option<f64> {
+fn responsibility(c: f64, denom: f64) -> Option<f64> {
     let inv = c / denom;
     (denom > 0.0 && inv.is_finite()).then_some(inv)
+}
+
+/// Eq. 11 for one user, shrunk toward `prior` by `shrinkage`:
+/// `(s * prior + num) / (s + mass)`. Keeps `lambda` when there is
+/// nothing to update from and when the update is not finite (weights
+/// near `f64::MAX` can overflow both sums to inf).
+#[inline]
+pub(crate) fn next_lambda(lambda: f64, shrinkage: f64, prior: f64, num: f64, mass: f64) -> f64 {
+    if mass > 0.0 || shrinkage > 0.0 {
+        let next = (shrinkage * prior + num) / (shrinkage + mass);
+        if next.is_finite() {
+            return next;
+        }
+    }
+    lambda
 }
 
 /// Per-user sufficient statistics (M-step numerators for `theta_u` and

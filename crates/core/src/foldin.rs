@@ -8,6 +8,7 @@
 //! This is the classic PLSA fold-in, specialized to TCAM's two-source
 //! mixture, and costs `O(iterations * |ratings| * (K1 + K2))`.
 
+use crate::em::{next_lambda, user_e_step, Cell, Phi};
 use crate::ttcam::TtcamModel;
 use serde::{Deserialize, Serialize};
 use tcam_data::TimeId;
@@ -27,12 +28,22 @@ pub struct FoldInRating {
 }
 
 /// User-side parameters estimated by fold-in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FoldedUser {
     /// `P(z | theta_u)` over the model's K1 user-oriented topics.
     pub interest: Vec<f64>,
     /// The user's mixing weight `lambda_u`.
     pub lambda: f64,
+}
+
+/// Reusable buffers for [`TtcamModel::fold_in_user_into`]: the
+/// sanitized session's E-step cells, their gathered `phi` rows and the
+/// interest numerator, sized on first use.
+#[derive(Debug, Clone, Default)]
+pub struct FoldScratch {
+    cells: Vec<Cell>,
+    rows: Vec<f64>,
+    theta_num: Vec<f64>,
 }
 
 impl TtcamModel {
@@ -54,82 +65,70 @@ impl TtcamModel {
         iterations: usize,
         shrinkage: f64,
     ) -> FoldedUser {
-        let last = TimeId(self.num_times().saturating_sub(1) as u32);
-        let ratings: Vec<FoldInRating> = ratings
-            .iter()
-            .filter(|r| r.item < self.num_items() && r.value.is_finite() && r.value >= 0.0)
-            .map(|r| FoldInRating { time: r.time.min(last), ..*r })
-            .collect();
+        let mut folded = FoldedUser::default();
+        let mut scratch = FoldScratch::default();
+        self.fold_in_user_into(ratings, iterations, shrinkage, &mut scratch, &mut folded);
+        folded
+    }
+
+    /// [`Self::fold_in_user`] into buffers reused across calls, so a
+    /// warm fold performs no heap allocation. Each iteration is the
+    /// training E-step over the session with the corpus side frozen,
+    /// then the user's Eq. 8 and Eq. 11 updates.
+    // tcam-lint: hot
+    pub fn fold_in_user_into(
+        &self,
+        ratings: &[FoldInRating],
+        iterations: usize,
+        shrinkage: f64,
+        scratch: &mut FoldScratch,
+        out: &mut FoldedUser,
+    ) {
         let k1 = self.num_user_topics();
         let k2 = self.num_time_topics();
+        let last = TimeId(self.num_times().saturating_sub(1) as u32);
+        let FoldScratch { cells, rows, theta_num } = scratch;
+        cells.clear();
+        rows.clear();
+        let usable =
+            |r: &&FoldInRating| r.item < self.num_items() && r.value.is_finite() && r.value >= 0.0;
+        for r in ratings.iter().filter(usable) {
+            // Context likelihoods P(v | theta'_t) are fixed; compute one
+            // per rating.
+            let theta_t = self.temporal_context(r.time.min(last));
+            let context = (0..k2).map(|x| theta_t[x] * self.time_topic(x)[r.item]).sum();
+            let background = self.background()[r.item];
+            cells.push(Cell { row: cells.len(), c: r.value, context, background });
+            // Gather each rated item's K1-wide topic row once; the
+            // corpus-side phi is frozen during fold-in, so every
+            // iteration streams contiguous rows instead of striding
+            // across topics.
+            rows.extend((0..k1).map(|z| self.user_topic(z)[r.item]));
+        }
         let population_lambda = if self.lambdas().is_empty() {
             0.5
         } else {
             self.lambdas().iter().sum::<f64>() / self.lambdas().len() as f64
         };
-        let mut interest = vec![1.0 / k1 as f64; k1];
-        let mut lambda = population_lambda;
-        if ratings.is_empty() {
-            return FoldedUser { interest, lambda };
+        out.interest.clear();
+        out.interest.resize(k1, 1.0 / k1 as f64);
+        out.lambda = population_lambda;
+        if cells.is_empty() {
+            return;
         }
 
-        // Context likelihoods P(v | theta'_t) are fixed; precompute one
-        // per rating.
-        let context: Vec<f64> = ratings
-            .iter()
-            .map(|r| {
-                let theta_t = self.temporal_context(r.time);
-                (0..k2).map(|x| theta_t[x] * self.time_topic(x)[r.item]).sum()
-            })
-            .collect();
         let lam_b = self.background_weight();
-        let bg: Vec<f64> = ratings.iter().map(|r| self.background()[r.item]).collect();
-
-        // Gather each rated item's K1-wide topic row once; the
-        // corpus-side phi is frozen during fold-in, so every iteration
-        // streams contiguous rows instead of striding across topics.
-        let mut item_rows = vec![0.0; ratings.len() * k1];
-        for (row, r) in item_rows.chunks_exact_mut(k1).zip(ratings.iter()) {
-            for (z, slot) in row.iter_mut().enumerate() {
-                *slot = self.user_topic(z)[r.item];
-            }
-        }
-
-        let mut a = vec![0.0; k1];
         for _ in 0..iterations.max(1) {
-            let mut theta_num = vec![0.0; k1];
-            let mut lambda_num = 0.0;
-            let mut mass = 0.0;
-            // Same per-user hoisting and one-division cancellation as
-            // the training E-step (`lambda` is constant within an
-            // iteration).
-            let w1 = (1.0 - lam_b) * lambda;
-            let w0 = (1.0 - lam_b) * (1.0 - lambda);
-            for ((i, r), row) in ratings.iter().enumerate().zip(item_rows.chunks_exact(k1)) {
-                let a_sum = vecops::mul_store_sum(&mut a, &interest, row);
-                let p1 = w1 * a_sum;
-                let p0 = w0 * context[i];
-                let denom = lam_b * bg[i] + p1 + p0;
-                let Some(inv) = crate::em::responsibility(r.value, denom) else {
-                    continue;
-                };
-                if a_sum > 0.0 {
-                    vecops::scaled_add(&mut theta_num, &a, inv * w1);
-                }
-                lambda_num += inv * p1;
-                mass += inv * (p1 + p0);
-            }
-            interest.copy_from_slice(&theta_num);
-            vecops::normalize_in_place(&mut interest);
-            if mass > 0.0 || shrinkage > 0.0 {
-                let next = (shrinkage * population_lambda + lambda_num) / (shrinkage + mass);
-                // Weights near f64::MAX can overflow both sums to inf.
-                if next.is_finite() {
-                    lambda = next;
-                }
-            }
+            theta_num.clear();
+            theta_num.resize(k1, 0.0);
+            let cells = cells.iter().copied();
+            let phi = Phi::Frozen(rows);
+            let (lambda_num, mass, _) =
+                user_e_step(&out.interest, out.lambda, lam_b, cells, phi, theta_num, |_, _, _| {});
+            out.interest.copy_from_slice(theta_num);
+            vecops::normalize_in_place(&mut out.interest);
+            out.lambda = next_lambda(out.lambda, shrinkage, population_lambda, lambda_num, mass);
         }
-        FoldedUser { interest, lambda }
     }
 }
 
@@ -256,6 +255,36 @@ mod tests {
         let (_, model) = fitted();
         let history = vec![rating(0, 0, 1e306); 2000];
         valid_folds(&model, &history);
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_folds_bitwise() {
+        // One scratch and one output across sessions that shrink, empty
+        // and turn unusable: any buffer content left over from an
+        // earlier session would change a later fold.
+        let (data, model) = fitted();
+        let v = model.num_items();
+        let long: Vec<FoldInRating> = data
+            .cuboid
+            .entries()
+            .iter()
+            .take(40)
+            .map(|r| FoldInRating { time: r.time, item: r.item.index(), value: r.value })
+            .collect();
+        let skipped = [rating(0, v, 1.0), rating(1, usize::MAX, 2.0)];
+        let sessions: [&[FoldInRating]; 5] = [&long, &long[..3], &[], &skipped, &long[5..9]];
+        let bits = |f: &FoldedUser| {
+            (f.interest.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), f.lambda.to_bits())
+        };
+        let mut scratch = FoldScratch::default();
+        let mut out = FoldedUser::default();
+        for shrinkage in [0.0, 1.0] {
+            for session in sessions {
+                model.fold_in_user_into(session, 15, shrinkage, &mut scratch, &mut out);
+                let fresh = model.fold_in_user(session, 15, shrinkage);
+                assert_eq!(bits(&out), bits(&fresh), "session of {} ratings", session.len());
+            }
+        }
     }
 
     #[test]

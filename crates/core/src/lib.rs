@@ -39,7 +39,7 @@ pub mod parallel;
 pub mod ttcam;
 
 pub use config::{FitConfig, FitResult, FitTrace};
-pub use foldin::{FoldInRating, FoldedUser};
+pub use foldin::{FoldInRating, FoldScratch, FoldedUser};
 pub use inspect::{top_items, TopicSummary};
 pub use itcam::ItcamModel;
 pub use ttcam::TtcamModel;

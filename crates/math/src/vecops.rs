@@ -1,14 +1,14 @@
 //! Small vector utilities used by the inference code.
 //!
-//! The four EM hot-path kernels ([`dot_unrolled`], [`scaled_add`],
-//! [`mul_store_sum`], [`dual_scaled_mul_add`]) dispatch at runtime to
-//! AVX2 implementations on x86-64 CPUs that support them. The AVX2
-//! bodies are *lane-exact* transcriptions of the portable 4-wide
-//! unrolled loops: same per-lane IEEE multiplies and adds in the same
-//! order, no FMA contraction, and the same `(s0 + s1) + (s2 + s3)`
-//! accumulator reduction — so every kernel returns bitwise-identical
-//! results on either path and reproducibility does not depend on the
-//! host CPU's feature set.
+//! The EM hot-path kernels ([`dot_unrolled`], [`scaled_add`],
+//! [`scaled_mul_add`], [`dual_scaled_mul_add`], [`dot_dual_update`])
+//! dispatch at runtime to AVX2 implementations on x86-64 CPUs that
+//! support them. The AVX2 bodies are *lane-exact* transcriptions of the
+//! portable 4-wide unrolled loops: same per-lane IEEE multiplies and
+//! adds in the same order, no FMA contraction, and the same
+//! `(s0 + s1) + (s2 + s3)` accumulator reduction — so every kernel
+//! returns bitwise-identical results on either path and reproducibility
+//! does not depend on the host CPU's feature set.
 
 /// Dot product of two equal-length slices.
 #[inline]
@@ -56,23 +56,6 @@ fn dot_unrolled_generic(a: &[f64], b: &[f64]) -> f64 {
     (s0 + s1) + (s2 + s3)
 }
 
-/// Element-wise (Hadamard) product into a new vector.
-#[inline]
-pub fn hadamard(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).collect()
-}
-
-/// `out += k * x`, in place.
-///
-/// Alias of [`scaled_add`]; kept for callers that predate the fused
-/// kernels. Both produce bitwise-identical results (each lane is an
-/// independent `out[i] += k * x[i]`, so unrolling cannot reassociate).
-#[inline]
-pub fn axpy(out: &mut [f64], x: &[f64], k: f64) {
-    scaled_add(out, x, k);
-}
-
 /// `out += k * x`, in place, 4-wide unrolled.
 ///
 /// The unroll breaks the load/store dependency chain so the compiler can
@@ -106,56 +89,6 @@ fn scaled_add_generic(out: &mut [f64], x: &[f64], k: f64) {
     for (o, &v) in out[tail..].iter_mut().zip(x[tail..].iter()) {
         *o += k * v;
     }
-}
-
-/// Fused elementwise product with a horizontal sum: `out[i] = a[i] *
-/// b[i]`, returning `sum(out)`.
-///
-/// This is the E-step's responsibility kernel (`a[z] = theta_u[z] *
-/// phi_v[z]` plus its normalizer) fused into one pass. The sum uses four
-/// independent accumulators over `chunks_exact(4)`, so its value can
-/// differ from a sequential left-to-right sum by floating-point
-/// reassociation (the stored products are exact either way).
-#[inline]
-pub fn mul_store_sum(out: &mut [f64], a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(out.len(), a.len());
-    debug_assert_eq!(out.len(), b.len());
-    #[cfg(target_arch = "x86_64")]
-    if avx::available() {
-        // SAFETY: AVX2 support was just checked at runtime.
-        return unsafe { avx::mul_store_sum(out, a, b) };
-    }
-    mul_store_sum_generic(out, a, b)
-}
-
-#[inline]
-fn mul_store_sum_generic(out: &mut [f64], a: &[f64], b: &[f64]) -> f64 {
-    let n = out.len();
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut out_chunks = out.chunks_exact_mut(4);
-    let mut a_chunks = a.chunks_exact(4);
-    let mut b_chunks = b.chunks_exact(4);
-    for ((o, x), y) in (&mut out_chunks).zip(&mut a_chunks).zip(&mut b_chunks) {
-        let p0 = x[0] * y[0];
-        let p1 = x[1] * y[1];
-        let p2 = x[2] * y[2];
-        let p3 = x[3] * y[3];
-        o[0] = p0;
-        o[1] = p1;
-        o[2] = p2;
-        o[3] = p3;
-        s0 += p0;
-        s1 += p1;
-        s2 += p2;
-        s3 += p3;
-    }
-    let tail = n - n % 4;
-    for i in tail..n {
-        let p = a[i] * b[i];
-        out[i] = p;
-        s0 += p;
-    }
-    (s0 + s1) + (s2 + s3)
 }
 
 /// Fused dual responsibility update: `out1[i] += k * a[i] * b[i]` and
@@ -216,9 +149,11 @@ fn dual_scaled_mul_add_generic(out1: &mut [f64], out2: &mut [f64], a: &[f64], b:
 ///
 /// Single-output sibling of [`dual_scaled_mul_add`], used by the
 /// context post-pass (`phi'` numerator rows get `w * (theta'_t[x] *
-/// phi'_x[v])` per distinct pair). Each lane is an independent
-/// elementwise update, so the result is bitwise identical to the naive
-/// loop; `k = 1.0` degenerates to an exact `out += a ∘ b`.
+/// phi'_x[v])` per distinct pair) and by fold-in, whose E-step spreads
+/// each rating's interest posterior over `theta_u ∘ phi_v` into the
+/// `theta` numerator alone. Each lane is an independent elementwise
+/// update, so the result is bitwise identical to the naive loop;
+/// `k = 1.0` degenerates to an exact `out += a ∘ b`.
 #[inline]
 pub fn scaled_mul_add(out: &mut [f64], a: &[f64], b: &[f64], k: f64) {
     debug_assert_eq!(out.len(), a.len());
@@ -344,31 +279,6 @@ mod avx {
         for i in (4 * chunks)..n {
             *op.add(i) += k * *xp.add(i);
         }
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available and all slices share a length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_store_sum(out: &mut [f64], a: &[f64], b: &[f64]) -> f64 {
-        let n = out.len();
-        let chunks = n / 4;
-        let mut acc = _mm256_setzero_pd();
-        let (op, ap, bp) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-        for i in 0..chunks {
-            let x = _mm256_loadu_pd(ap.add(4 * i));
-            let y = _mm256_loadu_pd(bp.add(4 * i));
-            let p = _mm256_mul_pd(x, y);
-            _mm256_storeu_pd(op.add(4 * i), p);
-            acc = _mm256_add_pd(acc, p);
-        }
-        let mut s = [0.0f64; 4];
-        _mm256_storeu_pd(s.as_mut_ptr(), acc);
-        for i in (4 * chunks)..n {
-            let p = *ap.add(i) * *bp.add(i);
-            *op.add(i) = p;
-            s[0] += p;
-        }
-        (s[0] + s[1]) + (s[2] + s[3])
     }
 
     /// # Safety
@@ -576,18 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_known() {
-        assert_eq!(hadamard(&[1.0, 2.0], &[3.0, 4.0]), vec![3.0, 8.0]);
-    }
-
-    #[test]
-    fn axpy_known() {
-        let mut out = vec![1.0, 1.0];
-        axpy(&mut out, &[2.0, 3.0], 2.0);
-        assert_eq!(out, vec![5.0, 7.0]);
-    }
-
-    #[test]
     fn normalize_sums_to_one() {
         let mut xs = vec![2.0, 2.0, 4.0];
         normalize_in_place(&mut xs);
@@ -641,20 +539,6 @@ mod tests {
                 *o += 1.7 * v;
             }
             assert_eq!(fast, naive, "n={n}");
-        }
-    }
-
-    #[test]
-    fn mul_store_sum_products_exact() {
-        for n in 0..13 {
-            let a: Vec<f64> = (0..n).map(|i| 0.25 * i as f64 + 0.5).collect();
-            let b: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 2.0)).collect();
-            let mut out = vec![f64::NAN; n];
-            let s = mul_store_sum(&mut out, &a, &b);
-            let expect: Vec<f64> = a.iter().zip(b.iter()).map(|(x, y)| x * y).collect();
-            assert_eq!(out, expect, "n={n}");
-            let naive: f64 = expect.iter().sum();
-            assert!((s - naive).abs() <= 1e-12 * naive.abs().max(1.0), "n={n}: {s} vs {naive}");
         }
     }
 
@@ -753,13 +637,6 @@ mod tests {
                 avx::scaled_add(&mut fast, &a, k);
                 scaled_add_generic(&mut slow, &a, k);
                 assert_eq!(fast, slow, "scaled_add n={n}");
-
-                let mut fast = vec![f64::NAN; n];
-                let mut slow = vec![f64::NAN; n];
-                let sf = avx::mul_store_sum(&mut fast, &a, &b);
-                let ss = mul_store_sum_generic(&mut slow, &a, &b);
-                assert_eq!(fast, slow, "mul_store_sum products n={n}");
-                assert_eq!(sf, ss, "mul_store_sum sum n={n}");
 
                 let mut f1: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
                 let mut f2: Vec<f64> = (0..n).map(|i| 2.0 - i as f64).collect();

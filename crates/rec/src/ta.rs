@@ -56,6 +56,7 @@
 
 use crate::scorer::{score_all_factored, FactoredScorer, TemporalScorer};
 use std::collections::BinaryHeap;
+use tcam_core::{FoldScratch, FoldedUser};
 use tcam_data::{TimeId, UserId};
 use tcam_math::topk::{Scored, TopK};
 use tcam_math::vecops;
@@ -222,8 +223,7 @@ impl TaIndex {
             cursors,
             head_contrib,
             bounds,
-            order,
-            block_seen,
+            blocks,
             stamps,
             epoch,
             ..
@@ -246,19 +246,16 @@ impl TaIndex {
         }
         // Blocks in descending-bound order (ties by ascending block id):
         // the termination cap walks this order as blocks exhaust.
-        order.clear();
-        order.extend(0..nb as u32);
+        blocks.clear();
+        blocks.extend(0..nb as u32);
+        blocks.resize(2 * nb, 0);
+        let (order, block_seen) = blocks.split_at_mut(nb);
         order.sort_unstable_by(|&a, &b| {
             bounds[b as usize]
                 .partial_cmp(&bounds[a as usize])
                 .expect("block bounds are finite")
                 .then(a.cmp(&b))
         });
-        if block_seen.len() != nb {
-            block_seen.clear();
-            block_seen.resize(nb, 0);
-        }
-        block_seen.fill(0);
 
         // Advances list `li` from `cursors[li]` to its next *live* item
         // — unstamped and in a non-dominated block — skipping dead
@@ -555,7 +552,8 @@ impl TaIndex {
     }
 }
 
-/// Reusable per-worker query state: every buffer the kernels touch.
+/// Reusable per-worker query state: every buffer the kernels and a
+/// history query's fold-in touch.
 /// Sized lazily against the index on first use and stable thereafter —
 /// repeated queries against the same catalog perform zero heap
 /// allocations (asserted by test via [`Self::fingerprint`]).
@@ -578,15 +576,19 @@ pub struct QueryScratch {
     head_contrib: Vec<f64>,
     /// Block-max kernel: per-block score upper bounds.
     bounds: Vec<f64>,
-    /// Block-max kernel: block ids sorted by descending bound.
-    order: Vec<u32>,
-    /// Block-max kernel: items of each block seen so far (drives the
-    /// exhausted-block walk of the termination cap).
-    block_seen: Vec<u32>,
+    /// Block-max kernel: block ids by descending bound, then each
+    /// block's items seen so far (for the termination cap's walk). One
+    /// buffer keeps the scratch within 256 bytes, which the pool moves
+    /// per checkout without a `memcpy` call.
+    blocks: Vec<u32>,
     /// Dense fallback: full catalog scores.
     dense: Vec<f64>,
     /// Bounded result collector, reset (not reallocated) per query.
     topk: TopK,
+    /// A history query's fold-in buffers and the user it folds in (see
+    /// [`Self::with_fold`]), boxed on first use so that they add one
+    /// pointer to the scratch the pool moves (see `blocks`).
+    fold: Option<Box<(FoldScratch, FoldedUser)>>,
 }
 
 impl QueryScratch {
@@ -611,11 +613,27 @@ impl QueryScratch {
         }
     }
 
+    /// Lends `f` this scratch with its pooled fold-in buffers, so a
+    /// history query can fold its session in and rank the folded user
+    /// on one scratch. Only the first call allocates.
+    pub fn with_fold<R>(
+        &mut self,
+        f: impl FnOnce(&mut Self, &mut FoldScratch, &mut FoldedUser) -> R,
+    ) -> R {
+        let mut fold = self.fold.take().unwrap_or_default();
+        let (scratch, folded) = &mut *fold;
+        let result = f(self, scratch, folded);
+        self.fold = Some(fold);
+        result
+    }
+
     /// `(pointer, capacity)` of every internal buffer — equal across
     /// two calls iff no buffer was reallocated in between. The
     /// zero-allocation tests compare fingerprints across repeated
-    /// queries; heap-backed buffers expose `(0, capacity)`.
+    /// queries; heap-backed buffers expose `(0, capacity)` and the
+    /// fold-in box `(address, 0)`.
     pub fn fingerprint(&self) -> [(usize, usize); 10] {
+        let fold = self.fold.as_deref().map_or(0, |fold| fold as *const _ as usize);
         [
             (self.active.as_ptr() as usize, self.active.capacity()),
             (self.stamps.as_ptr() as usize, self.stamps.capacity()),
@@ -623,10 +641,10 @@ impl QueryScratch {
             (self.cursors.as_ptr() as usize, self.cursors.capacity()),
             (self.head_contrib.as_ptr() as usize, self.head_contrib.capacity()),
             (self.bounds.as_ptr() as usize, self.bounds.capacity()),
-            (self.order.as_ptr() as usize, self.order.capacity()),
-            (self.block_seen.as_ptr() as usize, self.block_seen.capacity()),
+            (self.blocks.as_ptr() as usize, self.blocks.capacity()),
             (self.dense.as_ptr() as usize, self.dense.capacity()),
             (0, self.topk.capacity()),
+            (fold, 0),
         ]
     }
 }

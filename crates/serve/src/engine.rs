@@ -147,20 +147,20 @@ impl ServeEngine {
     /// any fitted user parameters — online personalization for a user
     /// (new or known) whose session evidence should drive the ranking.
     /// Responses are not cached: the key `(u, t, k)` does not identify
-    /// the history.
+    /// the history. On a warm scratch only the response allocates.
     pub fn query_with_history(&self, q: Query, history: &[FoldInRating]) -> Response {
         let snap = self.snapshot();
         let mut scratch = self.scratch.checkout();
         let start = Instant::now();
         let time = clamp_time(&snap, q.time);
-        let folded = snap.model().fold_in_user(
-            history,
-            self.config.foldin_iterations,
-            self.config.foldin_shrinkage,
-        );
-        let scorer = FoldedScorer { model: snap.model(), folded: &folded };
+        let (index, model) = (snap.index(), snap.model());
+        let (iterations, shrinkage) = (self.config.foldin_iterations, self.config.foldin_shrinkage);
         let mut items = Vec::new();
-        let work = snap.index().top_k_into(&scorer, q.user, time, q.k, &mut scratch, &mut items);
+        let work = scratch.with_fold(|scratch, fold, folded| {
+            model.fold_in_user_into(history, iterations, shrinkage, fold, folded);
+            let scorer = FoldedScorer { model, folded };
+            index.top_k_into(&scorer, q.user, time, q.k, scratch, &mut items)
+        });
         self.stats.record(work.items_examined, work.blocks_skipped, true, elapsed_nanos(start));
         Response {
             items: Arc::new(items),
@@ -471,21 +471,37 @@ mod tests {
     #[test]
     fn ta_queries_reuse_worker_scratch_without_reallocation() {
         let eng = engine(412, ServeConfig::default());
+        let items = eng.snapshot().num_items();
+        let session: Vec<FoldInRating> = (0..12u32)
+            .map(|i| FoldInRating {
+                time: TimeId(i % 4),
+                item: (7 * i as usize) % items,
+                value: 1.0,
+            })
+            .collect();
         // Warm the single sequential worker's scratch at the largest k
-        // the loop uses, then verify its kernel buffers stay put across
-        // many distinct queries.
-        eng.query(Query { user: UserId(0), time: TimeId(0), k: 7 });
+        // and the longest session the loop uses, then verify its kernel
+        // and fold-in buffers stay put across many distinct queries,
+        // history queries of every session length interleaved.
+        let widest = Query { user: UserId(0), time: TimeId(0), k: 7 };
+        eng.query(widest);
+        eng.query_with_history(widest, &session);
         let fingerprint = {
             let guard = eng.scratch.checkout();
             guard.fingerprint()
         };
+        assert_ne!(fingerprint[9], (0, 0), "history queries fold in on the pooled scratch");
+        let created = eng.scratch.created();
         for u in 1..30u32 {
-            eng.query(Query { user: UserId(u % 8), time: TimeId(u % 4), k: 1 + (u as usize % 7) });
+            let q = Query { user: UserId(u % 8), time: TimeId(u % 4), k: 1 + (u as usize % 7) };
+            eng.query(q);
+            eng.query_with_history(q, &session[..u as usize % session.len()]);
         }
         let after = {
             let guard = eng.scratch.checkout();
             guard.fingerprint()
         };
-        assert_eq!(fingerprint, after, "steady-state TA path must not reallocate");
+        assert_eq!(fingerprint, after, "steady-state TA and history paths must not reallocate");
+        assert_eq!(eng.scratch.created(), created, "one worker, one scratch");
     }
 }

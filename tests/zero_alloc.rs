@@ -9,7 +9,9 @@
 //! - a steady-state pruned query (block-max, classic TA, and the dense
 //!   fallback, for fitted users and for the cold-start prior of users
 //!   the model has never seen) performs **zero** heap events once its
-//!   scratch and output buffers are warm, and
+//!   scratch and output buffers are warm,
+//! - so does a history query: a session folded in on a warm
+//!   `FoldScratch`, then ranked with the block-max kernel, and
 //! - a warm EM iteration (serial `fit_warm` resuming from a converged
 //!   model, the online-refresh path of DESIGN.md §13) allocates
 //!   nothing after the training-loop buffers are built: fits differing
@@ -18,7 +20,7 @@
 //! Counters are per-thread, so these assertions are immune to `cargo
 //! test`'s default test-thread parallelism.
 
-use tcam::core::ItcamModel;
+use tcam::core::{FoldInRating, FoldScratch, FoldedUser, ItcamModel};
 use tcam::data::synth;
 use tcam::prelude::*;
 use tcam::rec::ta::QueryScratch;
@@ -85,6 +87,56 @@ fn steady_state_queries_are_allocation_free() {
         deallocation_events() - deallocs,
         0,
         "steady-state queries freed heap memory on a warm scratch"
+    );
+}
+
+/// A history query's steady state: folding a session in on a warm
+/// [`FoldScratch`] and ranking the folded user with the block-max
+/// kernel make zero heap events, whatever the session's length.
+#[test]
+fn warm_fold_in_and_history_ranking_are_allocation_free() {
+    let (data, model) = fitted_model();
+    let snap = ModelSnapshot::new(model, 1);
+    let (model, index) = (snap.model(), snap.index());
+    let longest: Vec<FoldInRating> = data
+        .cuboid
+        .entries()
+        .iter()
+        .take(60)
+        .map(|r| FoldInRating { time: r.time, item: r.item.index(), value: r.value })
+        .collect();
+    let mut fold = FoldScratch::default();
+    let mut folded = FoldedUser::default();
+    let mut scratch = QueryScratch::new();
+    let mut out = Vec::new();
+
+    // Warm-up: the longest session sizes the fold-in buffers, and its
+    // folded user (every factor list active) sizes the kernel's.
+    model.fold_in_user_into(&longest, 10, 1.0, &mut fold, &mut folded);
+    index.top_k_into(
+        &FoldedScorer { model, folded: &folded },
+        UserId(0),
+        TimeId(0),
+        10,
+        &mut scratch,
+        &mut out,
+    );
+
+    let allocs = allocation_events();
+    let deallocs = deallocation_events();
+    for round in 0..50usize {
+        let session = &longest[..(round * 7) % (longest.len() + 1)];
+        model.fold_in_user_into(session, 10, 1.0, &mut fold, &mut folded);
+        let t = TimeId((round % data.cuboid.num_times()) as u32);
+        let scorer = FoldedScorer { model, folded: &folded };
+        index.top_k_into(&scorer, UserId(0), t, 10, &mut scratch, &mut out);
+        assert_eq!(out.len(), 10);
+    }
+    assert_eq!(allocation_events() - allocs, 0, "a warm fold-in and history query allocated");
+    assert_eq!(
+        deallocation_events() - deallocs,
+        0,
+        "a warm fold-in and history query freed heap memory"
     );
 }
 
