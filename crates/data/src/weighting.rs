@@ -44,8 +44,7 @@ pub enum WeightingScheme {
 ///
 /// `PartialEq` compares the raw counts; since every derived quantity
 /// (iuf, bursty degree, every [`WeightingScheme`]) is a pure function of
-/// them, equal statistics produce bitwise-equal weights — the invariant
-/// the online incremental maintainer is tested against.
+/// them, equal statistics produce bitwise-equal weights.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ItemWeighting {
     /// `N`: the number of active users (users with >= 1 rating). The
@@ -62,82 +61,55 @@ pub struct ItemWeighting {
 }
 
 impl ItemWeighting {
-    /// Computes all statistics in two passes over the cuboid.
+    /// Computes all statistics in two linear passes over the cells: one
+    /// in `(user, time, item)` order for `N`, `N(v)` and `N_t`, one per
+    /// interval for `N_t(v)`.
     pub fn compute(cuboid: &RatingCuboid) -> Self {
         let num_items = cuboid.num_items();
-        let num_times = cuboid.num_times();
-
-        // N(v): distinct (user, item) pairs. Entries are sorted by
-        // (user, time, item); per user we dedup items with a scratch set.
+        let mut n_users = 0;
         let mut item_users = vec![0u32; num_items];
-        let mut scratch: Vec<u32> = Vec::new();
-        for u in 0..cuboid.num_users() {
-            let entries = cuboid.user_entries(crate::UserId::from(u));
-            if entries.is_empty() {
-                continue;
+        let mut active_users_per_t = vec![0u32; cuboid.num_times()];
+        // Entries are sorted by (user, time, item), so each user's cells
+        // are contiguous, and within them each interval's: a new user
+        // counts once in `N`, a new (user, time) once in `N_t`.
+        // `last_user[v]` is the last user counted in `N(v)`.
+        let mut last_user = vec![u32::MAX; num_items];
+        let mut last: Option<(u32, u32)> = None;
+        for r in cuboid.entries() {
+            let (u, t, v) = (r.user.0, r.time.0, r.item.index());
+            if last.map(|(lu, _)| lu) != Some(u) {
+                n_users += 1;
             }
-            scratch.clear();
-            scratch.extend(entries.iter().map(|r| r.item.0));
-            scratch.sort_unstable();
-            scratch.dedup();
-            for &v in &scratch {
-                item_users[v as usize] += 1;
+            if last != Some((u, t)) {
+                active_users_per_t[t as usize] += 1;
+            }
+            last = Some((u, t));
+            if last_user[v] != u {
+                last_user[v] = u;
+                item_users[v] += 1;
             }
         }
-        let n_users = cuboid.active_users().len();
 
-        // Per interval: N_t (distinct users; within-t order is
-        // user-sorted so a transition count suffices) and N_t(v)
-        // (each (u, t, v) cell is unique, so N_t(v) = cells with item v).
-        let mut active_users_per_t = vec![0u32; num_times];
-        let mut burst_counts: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_times];
-        let mut item_count: Vec<(u32, u32)> = Vec::new();
-        for t in 0..num_times {
-            let tid = TimeId::from(t);
-            let mut last_user = u32::MAX;
-            item_count.clear();
-            for entry in cuboid.time_entries(tid) {
-                if entry.user.0 != last_user {
-                    active_users_per_t[t] += 1;
-                    last_user = entry.user.0;
+        // N_t(v): each (u, t, v) cell is unique, so N_t(v) is the number
+        // of cells of (t, v). Count each interval into a dense row, then
+        // emit its distinct items in order, clearing the row behind.
+        let mut count = vec![0u32; num_items];
+        let mut items: Vec<u32> = Vec::new();
+        let burst_counts = (0..cuboid.num_times())
+            .map(|t| {
+                items.clear();
+                for r in cuboid.time_entries(TimeId::from(t)) {
+                    let c = &mut count[r.item.index()];
+                    if *c == 0 {
+                        items.push(r.item.0);
+                    }
+                    *c += 1;
                 }
-                item_count.push((entry.item.0, 1));
-            }
-            item_count.sort_unstable_by_key(|&(v, _)| v);
-            let mut merged: Vec<(u32, u32)> = Vec::with_capacity(item_count.len());
-            for &(v, c) in &item_count {
-                match merged.last_mut() {
-                    Some(last) if last.0 == v => last.1 += c,
-                    _ => merged.push((v, c)),
-                }
-            }
-            burst_counts[t] = merged;
-        }
+                items.sort_unstable();
+                items.iter().map(|&v| (v, std::mem::take(&mut count[v as usize]))).collect()
+            })
+            .collect();
 
-        ItemWeighting { n_users, item_users, active_users_per_t, burst_counts }
-    }
-
-    /// Assembles statistics from externally maintained counts — the
-    /// constructor used by incremental maintainers (e.g. online rating
-    /// ingestion) that track the counters per arriving rating instead of
-    /// recomputing over a full cuboid.
-    ///
-    /// Contract (matching what [`Self::compute`] produces): `n_users` is
-    /// the number of users with at least one cell, `item_users[v]` the
-    /// distinct users who rated `v`, `active_users_per_t[t]` the
-    /// distinct users active in `t`, and `burst_counts[t]` the
-    /// `(item, N_t(v))` pairs for every item rated in `t`, sorted by
-    /// item with strictly positive counts.
-    pub fn from_counts(
-        n_users: usize,
-        item_users: Vec<u32>,
-        active_users_per_t: Vec<u32>,
-        burst_counts: Vec<Vec<(u32, u32)>>,
-    ) -> Self {
-        debug_assert_eq!(active_users_per_t.len(), burst_counts.len());
-        debug_assert!(burst_counts
-            .iter()
-            .all(|c| c.windows(2).all(|w| w[0].0 < w[1].0) && c.iter().all(|&(_, n)| n > 0)));
         ItemWeighting { n_users, item_users, active_users_per_t, burst_counts }
     }
 
@@ -360,15 +332,41 @@ mod tests {
     }
 
     #[test]
-    fn from_counts_round_trips_compute() {
-        let w = ItemWeighting::compute(&fixture());
-        let rebuilt = ItemWeighting::from_counts(
-            w.n_users,
-            w.item_users.clone(),
-            w.active_users_per_t.clone(),
-            w.burst_counts.clone(),
-        );
-        assert_eq!(rebuilt, w);
+    fn counts_match_their_definitions() {
+        // Every count straight from its definition, as a set of distinct
+        // users, against the two linear passes of `compute`: on a
+        // synthetic cuboid, and on one where each user's cells start in
+        // the interval the previous user's end in.
+        let synthetic = crate::synth::SynthDataset::generate(crate::synth::tiny(5)).unwrap();
+        let boundaries = RatingCuboid::from_ratings(
+            3,
+            3,
+            2,
+            vec![r(0, 1, 0), r(1, 1, 1), r(2, 1, 0), r(2, 2, 1)],
+        )
+        .unwrap();
+        for c in [&synthetic.cuboid, &boundaries] {
+            let w = ItemWeighting::compute(c);
+            let users = |keep: &dyn Fn(&Rating) -> bool| {
+                let set: std::collections::BTreeSet<UserId> =
+                    c.entries().iter().filter(|r| keep(r)).map(|r| r.user).collect();
+                set.len() as u32
+            };
+            assert_eq!(w.n_users() as u32, users(&|_| true));
+            for t in 0..c.num_times() {
+                let time = TimeId::from(t);
+                assert_eq!(w.active_users(time), users(&|r| r.time == time), "N_t, t={t}");
+            }
+            for v in 0..c.num_items() {
+                let item = ItemId::from(v);
+                assert_eq!(w.item_user_count(item), users(&|r| r.item == item), "N(v), v={v}");
+                for t in 0..c.num_times() {
+                    let time = TimeId::from(t);
+                    let want = users(&|r| r.item == item && r.time == time);
+                    assert_eq!(w.item_user_count_at(item, time), want, "N_t(v), v={v} t={t}");
+                }
+            }
+        }
     }
 
     // --- Regression tests for the Eq. 17/18 division edge cases. ---

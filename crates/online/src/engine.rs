@@ -6,7 +6,7 @@
 //! ```text
 //!            ┌──────────── serve (epoch e) ◄──────────┐
 //!            │                                        │ swap + cache clear
-//!  rating ──►│ IngestLog.append ──► counters ──► due? ├── yes: fit_warm(prior)
+//!  rating ──►│ IngestLog.append ──► cells ──► due?    ├── yes: fit_warm(prior)
 //!            │        │ typed error                   │        epoch e+1
 //!            └────────▼ (state untouched)             │
 //!                   caller                            no: keep serving epoch e
@@ -22,7 +22,7 @@ use crate::ingest::IngestLog;
 use crate::Result;
 use std::sync::Arc;
 use tcam_core::{FitConfig, TtcamModel};
-use tcam_data::{Rating, RatingCuboid, WeightingScheme};
+use tcam_data::{ItemWeighting, Rating, RatingCuboid, WeightingScheme};
 use tcam_serve::{ModelSnapshot, Query, Response, ServeConfig, ServeEngine};
 
 /// When to rebuild the model and hot-swap the serving snapshot. Both
@@ -132,7 +132,7 @@ impl OnlineEngine {
 
     /// Validates and ingests one rating, refreshing the snapshot if the
     /// policy fires. A rejected rating returns the typed error and
-    /// leaves the log, counters, model, and serving snapshot untouched.
+    /// leaves the log, model, and serving snapshot untouched.
     pub fn ingest(&mut self, r: Rating) -> Result<IngestOutcome> {
         let times_before = self.log.num_times();
         self.log.append(r)?;
@@ -146,7 +146,7 @@ impl OnlineEngine {
         Ok(IngestOutcome { rolled_over, refreshed })
     }
 
-    /// Rebuilds the training cuboid from the incremental state, warm
+    /// Rebuilds the training cuboid from the log's cells, warm
     /// starts EM from the current model's rows, and hot-swaps the new
     /// snapshot (epoch + 1) into serving, invalidating the cache.
     pub fn refresh(&mut self) -> Result<RefreshReport> {
@@ -203,11 +203,12 @@ impl OnlineEngine {
 }
 
 /// The cuboid EM trains on for the log's current prefix: materialized,
-/// and item-weighted when the config asks for W-TTCAM.
+/// and item-weighted when the config asks for W-TTCAM, with weights
+/// computed on the cuboid just materialized.
 pub fn training_cuboid(log: &IngestLog, config: &OnlineConfig) -> RatingCuboid {
     let cuboid = log.materialize();
     match config.weighting {
-        Some(scheme) => log.weighting().apply_with(scheme, &cuboid),
+        Some(scheme) => ItemWeighting::compute(&cuboid).apply_with(scheme, &cuboid),
         None => cuboid,
     }
 }

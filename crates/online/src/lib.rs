@@ -13,11 +13,10 @@
 //!   time — typed [`OnlineError`]s for out-of-range ids, non-finite or
 //!   negative values, and backwards time; a rejected rating leaves every
 //!   piece of state untouched (the fault-injection tests fingerprint the
-//!   log before and after to prove it).
-//! * [`IncrementalCuboid`] and [`IncrementalWeighting`] maintain the
-//!   cuboid cells and the Section 3.3 counting statistics (`N`, `N(v)`,
-//!   `N_t`, `N_t(v)`) per arriving rating instead of recomputing over
-//!   the full dataset.
+//!   log before and after to prove it). Its one state is the accepted
+//!   stream and the cuboid cells it sums into; a refresh materializes
+//!   the cuboid from them and, for W-TTCAM, computes the Section 3.3
+//!   weights on it (`ItemWeighting::compute`).
 //! * [`OnlineEngine`] owns the log, the latest fitted model, and a
 //!   [`tcam_serve::ServeEngine`]; its [`RefreshPolicy`] (every N
 //!   ratings and/or on interval rollover) warm-starts EM from the
@@ -29,7 +28,7 @@
 //!
 //! The correctness spine is the [`oracle`] module: replaying any prefix
 //! of the accepted stream through the batch constructors must reproduce
-//! the incremental state **bitwise** — `f64` addition commutes but does
+//! the materialized cuboid **bitwise** — `f64` addition commutes but does
 //! not associate, so both paths are pinned to the same arrival-order
 //! summation (see `RatingCuboid::from_sorted_ratings`). The
 //! `tests/online_equivalence.rs` harness replays arbitrary interleavings
@@ -40,7 +39,7 @@ pub mod ingest;
 pub mod oracle;
 
 pub use engine::{IngestOutcome, OnlineConfig, OnlineEngine, RefreshPolicy, RefreshReport};
-pub use ingest::{IncrementalCuboid, IncrementalWeighting, IngestLog};
+pub use ingest::IngestLog;
 
 use tcam_core::ModelError;
 use tcam_data::DataError;

@@ -1,19 +1,19 @@
-//! The differential oracle: batch rebuilds the incremental state is
-//! checked against.
+//! The differential oracle: batch rebuilds the ingest state is checked
+//! against.
 //!
 //! Every function here takes the [`IngestLog`]'s *accepted arrival-order
 //! stream* and pushes it through the batch constructors the rest of the
 //! workspace already trusts (`RatingCuboid::from_ratings`,
 //! `ItemWeighting::compute`, `TtcamModel::fit_warm`). The equivalence
-//! checks then compare bit patterns, not approximate values: `f64`
+//! check then compares bit patterns, not approximate values: `f64`
 //! addition is commutative but not associative, so "equal up to
-//! reordering" would hide real divergence between the incremental and
-//! batch paths.
+//! reordering" would hide real divergence between the log's cells and
+//! the batch path.
 
 use crate::engine::OnlineConfig;
 use crate::ingest::IngestLog;
 use tcam_core::{FitResult, TtcamModel};
-use tcam_data::{ItemWeighting, RatingCuboid, TimeId, WeightingScheme};
+use tcam_data::{ItemWeighting, RatingCuboid};
 
 /// Rebuilds the cuboid from scratch: `from_ratings` over the accepted
 /// stream in arrival order, with the log's current dimensions.
@@ -26,12 +26,6 @@ pub fn batch_cuboid(log: &IngestLog) -> RatingCuboid {
     )
     // tcam-lint: allow(no-panic) -- the log's accept path already ran this validation
     .expect("accepted ratings passed the same validation from_ratings applies")
-}
-
-/// Recomputes the weighting statistics from scratch on the batch-built
-/// cuboid.
-pub fn batch_weighting(log: &IngestLog) -> ItemWeighting {
-    ItemWeighting::compute(&batch_cuboid(log))
 }
 
 /// Refits the model the way a cold pipeline would after the same
@@ -52,17 +46,20 @@ pub fn cold_refit(
 
 /// Checks that [`IngestLog::materialize`] is bitwise equal to the batch
 /// rebuild: same dimensions, same cells, and bit-identical cell values.
-pub fn check_cuboid_equivalence(log: &IngestLog) -> Result<(), String> {
-    let incremental = log.materialize();
+/// This is the per-prefix assertion the differential harness replays;
+/// the weights need no check of their own, because a refresh and the
+/// oracle both compute them from the cuboid this compares.
+pub fn check_equivalence(log: &IngestLog) -> Result<(), String> {
+    let materialized = log.materialize();
     let batch = batch_cuboid(log);
-    if incremental != batch {
+    if materialized != batch {
         return Err(format!(
-            "cuboid mismatch after {} ratings: incremental {}x{}x{} nnz {}, batch {}x{}x{} nnz {}",
+            "cuboid mismatch after {} ratings: log {}x{}x{} nnz {}, batch {}x{}x{} nnz {}",
             log.len(),
-            incremental.num_users(),
-            incremental.num_times(),
-            incremental.num_items(),
-            incremental.nnz(),
+            materialized.num_users(),
+            materialized.num_times(),
+            materialized.num_items(),
+            materialized.nnz(),
             batch.num_users(),
             batch.num_times(),
             batch.num_items(),
@@ -70,10 +67,10 @@ pub fn check_cuboid_equivalence(log: &IngestLog) -> Result<(), String> {
         ));
     }
     // `PartialEq` on f64 is value equality; insist on bit equality too.
-    for (i, (a, b)) in incremental.entries().iter().zip(batch.entries()).enumerate() {
+    for (i, (a, b)) in materialized.entries().iter().zip(batch.entries()).enumerate() {
         if a.value.to_bits() != b.value.to_bits() {
             return Err(format!(
-                "cell {i} ({:?}, {:?}, {:?}): incremental {} vs batch {} differ in bits",
+                "cell {i} ({:?}, {:?}, {:?}): log {} vs batch {} differ in bits",
                 a.user, a.time, a.item, a.value, b.value,
             ));
         }
@@ -81,49 +78,10 @@ pub fn check_cuboid_equivalence(log: &IngestLog) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks that [`IngestLog::weighting`] equals a from-scratch
-/// [`ItemWeighting::compute`], then that every derived weight is
-/// bit-identical under every [`WeightingScheme`] for every `(v, t)`.
-/// (Equal counts imply equal weights — checking both catches a bug in
-/// either direction of that argument.)
-pub fn check_weighting_equivalence(log: &IngestLog) -> Result<(), String> {
-    let incremental = log.weighting();
-    let batch = batch_weighting(log);
-    if incremental != batch {
-        return Err(format!("weighting counts mismatch after {} ratings", log.len()));
-    }
-    let schemes = [
-        WeightingScheme::Full,
-        WeightingScheme::IufOnly,
-        WeightingScheme::BurstOnly,
-        WeightingScheme::Damped,
-    ];
-    for t in 0..log.num_times() {
-        for v in 0..log.num_items() {
-            let (time, item) = (TimeId::from(t), tcam_data::ItemId::from(v));
-            for scheme in schemes {
-                let a = incremental.weight_with(scheme, item, time);
-                let b = batch.weight_with(scheme, item, time);
-                if a.to_bits() != b.to_bits() {
-                    return Err(format!("weight mismatch ({scheme:?}, v={v}, t={t}): {a} vs {b}"));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Both equivalence checks — the per-prefix assertion the differential
-/// harness replays.
-pub fn check_equivalence(log: &IngestLog) -> Result<(), String> {
-    check_cuboid_equivalence(log)?;
-    check_weighting_equivalence(log)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcam_data::{ItemId, Rating, UserId};
+    use tcam_data::{ItemId, Rating, TimeId, UserId};
 
     fn rating(u: u32, t: u32, v: u32, value: f64) -> Rating {
         Rating { user: UserId(u), time: TimeId(t), item: ItemId(v), value }

@@ -15,9 +15,9 @@
 //!   evaluation harness),
 //! * [`serve`] — the online serving engine (snapshot swap, sharded LRU
 //!   response cache, batch queries, fold-in backoff, serving stats),
-//! * [`online`] — streaming rating ingestion (validated append log,
-//!   incremental cuboid/weighting maintenance, warm-start refresh with
-//!   snapshot hot-swap, and the batch-equivalence oracle).
+//! * [`online`] — streaming rating ingestion (validated append log
+//!   with its cuboid cells, warm-start refresh with snapshot hot-swap,
+//!   and the batch-equivalence oracle).
 //!
 //! ## Quickstart
 //!

@@ -224,8 +224,7 @@ fn ingest_rejects_every_bad_rating_with_a_typed_error() {
         let err = log.append(r).expect_err(label);
         assert!(is_expected(&err), "{label}: got {err:?}");
         // A typed error, and provably zero mutation: the fingerprint
-        // covers the accepted log, every cuboid cell bit pattern, and
-        // every weighting counter.
+        // covers the accepted log and every cuboid cell bit pattern.
         assert_eq!(log.fingerprint(), before, "{label}: rejected rating mutated state");
         assert_eq!(log.len(), 1, "{label}: log length moved");
     }

@@ -4,25 +4,27 @@
 //! query-kernel suites already enforce:
 //!
 //! 1. **State equivalence, bitwise.** After *any* prefix of the
-//!    accepted stream, the incremental cuboid must be bit-identical to
-//!    `RatingCuboid::from_ratings` on that prefix, and the incremental
-//!    weighting counters must equal `ItemWeighting::compute` on the
-//!    materialized cuboid (hence bit-identical weights under every
-//!    `WeightingScheme`). Replayed deterministically and under proptest
-//!    with arbitrary interleavings of appends, duplicates, zero-valued
-//!    ratings, and interval rollovers.
+//!    accepted stream, the log's materialized cuboid must be
+//!    bit-identical to `RatingCuboid::from_ratings` on that prefix.
+//!    Replayed deterministically and under proptest with arbitrary
+//!    interleavings of appends, duplicates, zero-valued ratings, and
+//!    interval rollovers.
 //! 2. **Refresh equivalence, 1e-10.** Every snapshot a refresh
 //!    publishes must rank exactly like a cold pipeline that batch-
 //!    rebuilds the training cuboid and warm-starts from the same prior
 //!    — at 1 and at 4 fitting threads (warm starts are bitwise
-//!    thread-independent, so one oracle serves both).
+//!    thread-independent, so one oracle serves both), raw and under
+//!    every `WeightingScheme`.
+//! 3. **Replay, bitwise.** Two engines fed the same stream under the
+//!    same config publish bit-identical parameters at every epoch and
+//!    answer every query with bit-identical responses.
 
 use proptest::prelude::*;
-use tcam::core::{FitConfig, TtcamModel};
-use tcam::data::{synth, ItemId, Rating, TimeId, UserId};
+use tcam::core::{FitConfig, FoldInRating, TtcamModel};
+use tcam::data::{synth, ItemId, Rating, TimeId, UserId, WeightingScheme};
 use tcam::online::{oracle, IngestLog, OnlineConfig, OnlineEngine, RefreshPolicy};
 use tcam::rec::brute_force_top_k;
-use tcam::serve::Query;
+use tcam::serve::{Query, Response, Source};
 
 fn rating(u: u32, t: u32, v: u32, value: f64) -> Rating {
     Rating { user: UserId(u), time: TimeId(t), item: ItemId(v), value }
@@ -208,40 +210,123 @@ fn refreshed_snapshots_match_cold_refits_4_threads() {
 #[test]
 fn weighted_refresh_matches_cold_refit() {
     // Same differential check with the Section 3.3 weighting in the
-    // loop: the training cuboid is now `weighting.apply_with(...)` of
-    // the incremental state, so this exercises the incremental counter
-    // path end to end through EM.
+    // loop, under every scheme: a refresh weights the cuboid it just
+    // materialized, the oracle weights its batch rebuild, and EM must
+    // rank the two the same.
     let (n, v, maxt, stream) = monotone_stream(73);
     let split = stream.len() - 12;
+    for scheme in [
+        WeightingScheme::Full,
+        WeightingScheme::IufOnly,
+        WeightingScheme::BurstOnly,
+        WeightingScheme::Damped,
+    ] {
+        let config = OnlineConfig {
+            fit: FitConfig::default()
+                .with_user_topics(3)
+                .with_time_topics(2)
+                .with_iterations(3)
+                .with_seed(73),
+            weighting: Some(scheme),
+            policy: RefreshPolicy { every_ratings: Some(12), on_rollover: false },
+            serve: Default::default(),
+        };
+        let mut eng =
+            OnlineEngine::bootstrap(n, v, maxt, stream[..split].to_vec(), config.clone()).unwrap();
+        let prior = eng.model().clone();
+        let mut refreshed = false;
+        for &r in &stream[split..] {
+            refreshed |= eng.ingest(r).unwrap().refreshed.is_some();
+        }
+        assert!(refreshed, "{scheme:?}: 12 ratings at every_ratings=12 must refresh");
+        let cold = oracle::cold_refit(eng.log(), &config, &prior).unwrap().model;
+        let mut buffer = vec![0.0; v];
+        for u in 0..4u32 {
+            let t = TimeId(cold.num_times() as u32 - 1);
+            let response = eng.query(Query { user: UserId(u), time: t, k: 6 });
+            let expected = brute_force_top_k(&cold, UserId(u), t, 6, &mut buffer);
+            for (got, want) in response.items.iter().zip(expected.iter()) {
+                assert_eq!(got.index, want.index, "{scheme:?}");
+                assert!((got.score - want.score).abs() < 1e-10, "{scheme:?}");
+            }
+        }
+    }
+}
+
+/// Every fitted parameter of `m`, as bit patterns.
+fn parameter_bits(m: &TtcamModel) -> Vec<u64> {
+    let mut rows: Vec<&[f64]> = Vec::new();
+    rows.extend((0..m.num_users()).map(|u| m.user_interest(UserId::from(u))));
+    rows.extend((0..m.num_user_topics()).map(|z| m.user_topic(z)));
+    rows.extend((0..m.num_times()).map(|t| m.temporal_context(TimeId::from(t))));
+    rows.extend((0..m.num_time_topics()).map(|x| m.time_topic(x)));
+    rows.push(m.lambdas());
+    rows.push(m.background());
+    let mut bits = vec![m.background_weight().to_bits()];
+    for row in rows {
+        bits.push(row.len() as u64);
+        bits.extend(row.iter().map(|x| x.to_bits()));
+    }
+    bits
+}
+
+/// A response down to its bits: epoch, source, work done, and every
+/// `(item, score)`.
+fn response_bits(r: &Response) -> (u64, Source, usize, Vec<(usize, u64)>) {
+    let items = r.items.iter().map(|s| (s.index, s.score.to_bits())).collect();
+    (r.epoch, r.source, r.items_examined, items)
+}
+
+#[test]
+fn replaying_the_same_stream_twice_is_bitwise_identical() {
+    // The IufOnly-weighted pipeline, refreshing on rollover and every 10
+    // ratings: two engines replaying one stream must agree bit for bit
+    // at every epoch, in what they publish and in what they answer.
+    let (n, v, maxt, stream) = monotone_stream(75);
+    let split = stream.len() / 2;
     let config = OnlineConfig {
         fit: FitConfig::default()
             .with_user_topics(3)
             .with_time_topics(2)
             .with_iterations(3)
-            .with_seed(73),
-        weighting: Some(tcam::data::WeightingScheme::Damped),
-        policy: RefreshPolicy { every_ratings: Some(12), on_rollover: false },
+            .with_seed(75),
+        weighting: Some(WeightingScheme::IufOnly),
+        policy: RefreshPolicy { every_ratings: Some(10), on_rollover: true },
         serve: Default::default(),
     };
-    let mut eng =
-        OnlineEngine::bootstrap(n, v, maxt, stream[..split].to_vec(), config.clone()).unwrap();
-    let prior = eng.model().clone();
-    let mut refreshed = false;
+    let boot =
+        || OnlineEngine::bootstrap(n, v, maxt, stream[..split].to_vec(), config.clone()).unwrap();
+    let (mut a, mut b) = (boot(), boot());
+    let history = [
+        FoldInRating { time: TimeId(0), item: 1, value: 1.0 },
+        FoldInRating { time: TimeId(1), item: 2, value: 2.0 },
+    ];
+    let same_bits = |a: &OnlineEngine, b: &OnlineEngine| {
+        assert_eq!(a.epoch(), b.epoch());
+        assert_eq!(a.log().fingerprint(), b.log().fingerprint());
+        assert_eq!(parameter_bits(a.model()), parameter_bits(b.model()), "epoch {}", a.epoch());
+        let t = TimeId(a.model().num_times() as u32 - 1);
+        // Fitted users, an unseen user past the fitted range, a repeat
+        // (cache hit), and a history fold-in.
+        for u in (0..n as u32).chain([n as u32, 0]) {
+            let q = Query { user: UserId(u), time: t, k: 5 };
+            assert_eq!(response_bits(&a.query(q)), response_bits(&b.query(q)), "user {u}");
+        }
+        let q = Query { user: UserId(0), time: t, k: 5 };
+        assert_eq!(
+            response_bits(&a.serve().query_with_history(q, &history)),
+            response_bits(&b.serve().query_with_history(q, &history)),
+        );
+    };
+    same_bits(&a, &b);
     for &r in &stream[split..] {
-        refreshed |= eng.ingest(r).unwrap().refreshed.is_some();
-    }
-    assert!(refreshed, "12 ratings at every_ratings=12 must refresh");
-    let cold = oracle::cold_refit(eng.log(), &config, &prior).unwrap().model;
-    let mut buffer = vec![0.0; v];
-    for u in 0..4u32 {
-        let t = TimeId(cold.num_times() as u32 - 1);
-        let response = eng.query(Query { user: UserId(u), time: t, k: 6 });
-        let expected = brute_force_top_k(&cold, UserId(u), t, 6, &mut buffer);
-        for (got, want) in response.items.iter().zip(expected.iter()) {
-            assert_eq!(got.index, want.index);
-            assert!((got.score - want.score).abs() < 1e-10);
+        let (ra, rb) = (a.ingest(r).unwrap(), b.ingest(r).unwrap());
+        assert_eq!(ra, rb);
+        if ra.refreshed.is_some() {
+            same_bits(&a, &b);
         }
     }
+    assert!(a.epoch() >= 3, "stream must drive at least two refreshes, got epoch {}", a.epoch());
 }
 
 #[test]
