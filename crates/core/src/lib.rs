@@ -45,7 +45,7 @@ pub use itcam::ItcamModel;
 pub use ttcam::TtcamModel;
 
 /// Errors from model fitting and use.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ModelError {
     /// Configuration parameter out of range.
     InvalidConfig {
@@ -79,6 +79,71 @@ impl From<std::io::Error> for ModelError {
         ModelError::Io(e.to_string())
     }
 }
+
+/// Why a model's parameters cannot be served: what
+/// [`TtcamModel::validate`] reports, and what a serving snapshot's
+/// publish gate refuses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum InvalidModel {
+    /// A parameter's length disagrees with the dimensions the other
+    /// parameters fix.
+    Shape {
+        /// Which parameter (`"theta"`, `"phi"`, `"lambda"`, ...).
+        param: &'static str,
+        /// The length the other parameters imply.
+        expected: usize,
+        /// The length found.
+        found: usize,
+    },
+    /// A parameter holds a NaN or an infinity.
+    NonFinite {
+        /// Which parameter.
+        param: &'static str,
+        /// Flat index of the first offending value.
+        index: usize,
+    },
+    /// A row that must be a distribution has a negative entry or does
+    /// not sum to 1 (within `1e-9`).
+    NotDistribution {
+        /// Which parameter.
+        param: &'static str,
+        /// The offending row.
+        row: usize,
+        /// The row's sum.
+        sum: f64,
+    },
+    /// A mixing weight (`lambda_u`, or the background weight) lies
+    /// outside `[0, 1]`.
+    LambdaOutOfRange {
+        /// Which parameter (`"lambda"` or `"background_weight"`).
+        param: &'static str,
+        /// The user (0 for the background weight).
+        index: usize,
+        /// The offending weight.
+        value: f64,
+    },
+}
+
+impl std::fmt::Display for InvalidModel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InvalidModel::Shape { param, expected, found } => {
+                write!(f, "`{param}` has length {found}, expected {expected}")
+            }
+            InvalidModel::NonFinite { param, index } => {
+                write!(f, "`{param}` value {index} is not finite")
+            }
+            InvalidModel::NotDistribution { param, row, sum } => {
+                write!(f, "`{param}` row {row} is not a distribution (sum {sum})")
+            }
+            InvalidModel::LambdaOutOfRange { param, index, value } => {
+                write!(f, "`{param}` {index} is {value}, outside [0, 1]")
+            }
+        }
+    }
+}
+
+impl std::error::Error for InvalidModel {}
 
 /// Convenient result alias for this crate.
 pub type Result<T> = std::result::Result<T, ModelError>;

@@ -20,7 +20,7 @@
 
 use crate::config::{FitConfig, FitResult};
 use crate::em::{self, TemporalContext};
-use crate::{ModelError, Result};
+use crate::{InvalidModel, ModelError, Result};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use tcam_data::{RatingCuboid, TimeId, TimeItemIndex, UserId};
@@ -350,6 +350,72 @@ impl TtcamModel {
     /// The background mixing weight `lambda_B`.
     pub fn background_weight(&self) -> f64 {
         self.background_weight
+    }
+
+    /// Checks that the parameters describe a servable model: every
+    /// matrix's shape agrees with `N`, `K1`, `K2`, `T` and `V`; every
+    /// value is finite; every row of `theta`, `phi`, `theta_t`, `phi_t`
+    /// and the background is a distribution (nonnegative, summing to 1
+    /// within `1e-9`); and every mixing weight lies in `[0, 1]`. A fit
+    /// always passes; a model loaded from a file, or one a future
+    /// numerical fault corrupts, may not.
+    pub fn validate(&self) -> std::result::Result<(), InvalidModel> {
+        let (n, k1, k2) = (self.num_users(), self.num_user_topics(), self.num_time_topics());
+        let (t_dim, v_dim) = (self.num_times(), self.num_items());
+        let matrices = [
+            ("theta", &self.theta, n, k1),
+            ("phi", &self.phi, k1, v_dim),
+            ("theta_t", &self.theta_t, t_dim, k2),
+            ("phi_t", &self.phi_t, k2, v_dim),
+        ];
+        let shape = |param, expected, found| {
+            if expected == found {
+                Ok(())
+            } else {
+                Err(InvalidModel::Shape { param, expected, found })
+            }
+        };
+        for &(param, m, rows, cols) in &matrices {
+            shape(param, rows, m.rows())?;
+            shape(param, cols, m.cols())?;
+            shape(param, rows.saturating_mul(cols), m.as_slice().len())?;
+        }
+        shape("lambda", n, self.lambda.len())?;
+        shape("background", v_dim, self.background.len())?;
+
+        let all = matrices.iter().map(|&(param, m, _, _)| (param, m.as_slice())).chain([
+            ("lambda", &self.lambda[..]),
+            ("background", &self.background[..]),
+            ("background_weight", std::slice::from_ref(&self.background_weight)),
+        ]);
+        for (param, values) in all {
+            if let Some(index) = values.iter().position(|x| !x.is_finite()) {
+                return Err(InvalidModel::NonFinite { param, index });
+            }
+        }
+        let in_range = |param, index, value: f64| {
+            if (0.0..=1.0).contains(&value) {
+                Ok(())
+            } else {
+                Err(InvalidModel::LambdaOutOfRange { param, index, value })
+            }
+        };
+        for (u, &value) in self.lambda.iter().enumerate() {
+            in_range("lambda", u, value)?;
+        }
+        in_range("background_weight", 0, self.background_weight)?;
+
+        let rows = matrices
+            .iter()
+            .flat_map(|&(param, m, rows, _)| (0..rows).map(move |r| (param, r, m.row(r))))
+            .chain([("background", 0, &self.background[..])]);
+        for (param, row, values) in rows {
+            let sum: f64 = values.iter().sum();
+            if values.iter().any(|&x| x < 0.0) || (sum - 1.0).abs() > 1e-9 {
+                return Err(InvalidModel::NotDistribution { param, row, sum });
+            }
+        }
+        Ok(())
     }
 
     /// `P(z | theta_u)` — the user's interest distribution.

@@ -35,7 +35,7 @@ pub use time::TimeDiscretizer;
 pub use weighting::{ItemWeighting, WeightingScheme};
 
 /// Errors produced while constructing or manipulating datasets.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DataError {
     /// An id was out of the declared range.
     IdOutOfRange {

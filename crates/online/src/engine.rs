@@ -7,9 +7,9 @@
 //!            ┌──────────── serve (epoch e) ◄──────────┐
 //!            │                                        │ swap + cache clear
 //!  rating ──►│ IngestLog.append ──► cells ──► due?    ├── yes: fit_warm(prior)
-//!            │        │ typed error                   │        epoch e+1
-//!            └────────▼ (state untouched)             │
-//!                   caller                            no: keep serving epoch e
+//!            │        │ typed error                   │        publish gate
+//!            └────────▼ (state untouched)             │        epoch e+1
+//!                   caller                            no / refused: keep serving epoch e
 //! ```
 //!
 //! Between refreshes the serving engine keeps answering from the last
@@ -19,9 +19,9 @@
 //! are exactly what "degrade until the next refresh" means.
 
 use crate::ingest::IngestLog;
-use crate::Result;
+use crate::{OnlineError, Result};
 use std::sync::Arc;
-use tcam_core::{FitConfig, TtcamModel};
+use tcam_core::{FitConfig, InvalidModel, TtcamModel};
 use tcam_data::{ItemWeighting, Rating, RatingCuboid, WeightingScheme};
 use tcam_serve::{ModelSnapshot, Query, Response, ServeConfig, ServeEngine};
 
@@ -83,12 +83,16 @@ pub struct RefreshReport {
 }
 
 /// Outcome of one accepted rating.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IngestOutcome {
     /// Whether the rating opened a new time interval.
     pub rolled_over: bool,
     /// The refresh this rating triggered, if the policy fired.
     pub refreshed: Option<RefreshReport>,
+    /// Why the refresh this rating triggered published nothing: its
+    /// refit failed or the publish gate refused the model. The rating
+    /// is accepted either way, and the previous epoch keeps serving.
+    pub refused: Option<OnlineError>,
 }
 
 /// Owns the ingest log, the published snapshot (whose model is the
@@ -109,11 +113,13 @@ pub struct OnlineEngine {
     /// refresh warm-starts from its rows.
     snapshot: Arc<ModelSnapshot>,
     since_refresh: u64,
+    rejected_refreshes: u64,
 }
 
 impl OnlineEngine {
     /// Seeds the log with `seed` ratings, cold-fits the first model on
-    /// them, and publishes it as epoch 1.
+    /// them, and publishes it as epoch 1 (through the same publish gate
+    /// as every refresh).
     pub fn bootstrap(
         num_users: usize,
         num_items: usize,
@@ -125,33 +131,49 @@ impl OnlineEngine {
         log.append_all(seed)?;
         let train = training_cuboid(&log, &config);
         let model = TtcamModel::fit(&train, &config.fit)?.model;
-        let serve = Arc::new(ServeEngine::new(ModelSnapshot::new(model, 1), config.serve.clone()));
+        let snapshot = ModelSnapshot::try_new(model, 1)?;
+        let serve = Arc::new(ServeEngine::new(snapshot, config.serve.clone()));
         let snapshot = serve.snapshot();
-        Ok(OnlineEngine { log, config, serve, snapshot, since_refresh: 0 })
+        Ok(OnlineEngine { log, config, serve, snapshot, since_refresh: 0, rejected_refreshes: 0 })
     }
 
     /// Validates and ingests one rating, refreshing the snapshot if the
     /// policy fires. A rejected rating returns the typed error and
-    /// leaves the log, model, and serving snapshot untouched.
+    /// leaves the log, model, and serving snapshot untouched. An
+    /// accepted rating returns `Ok` even when the refresh it triggered
+    /// publishes nothing; [`IngestOutcome::refused`] says why.
     pub fn ingest(&mut self, r: Rating) -> Result<IngestOutcome> {
         let times_before = self.log.num_times();
         self.log.append(r)?;
         self.since_refresh += 1;
         let rolled_over = self.log.num_times() > times_before;
-        let refreshed = if self.config.policy.due(self.since_refresh, rolled_over) {
-            Some(self.refresh()?)
+        let (refreshed, refused) = if self.config.policy.due(self.since_refresh, rolled_over) {
+            match self.refresh() {
+                Ok(report) => (Some(report), None),
+                Err(e) => (None, Some(e)),
+            }
         } else {
-            None
+            (None, None)
         };
-        Ok(IngestOutcome { rolled_over, refreshed })
+        Ok(IngestOutcome { rolled_over, refreshed, refused })
     }
 
     /// Rebuilds the training cuboid from the log's cells, warm
-    /// starts EM from the current model's rows, and hot-swaps the new
-    /// snapshot (epoch + 1) into serving, invalidating the cache.
+    /// starts EM from the current model's rows, and publishes the
+    /// result as epoch + 1 (see [`Self::publish`]). The rating counter
+    /// restarts whether or not the refresh publishes, so a refused
+    /// refresh is not retried on every following rating; a failed refit
+    /// keeps the current epoch serving and counts as a rejected refresh.
     pub fn refresh(&mut self) -> Result<RefreshReport> {
+        self.since_refresh = 0;
         let train = training_cuboid(&self.log, &self.config);
-        let fit = TtcamModel::fit_warm(&train, &self.config.fit, self.snapshot.model())?;
+        let fit = match TtcamModel::fit_warm(&train, &self.config.fit, self.snapshot.model()) {
+            Ok(fit) => fit,
+            Err(e) => {
+                self.rejected_refreshes += 1;
+                return Err(e.into());
+            }
+        };
         let report = RefreshReport {
             epoch: self.epoch() + 1,
             log_likelihood: fit.final_log_likelihood(),
@@ -159,10 +181,52 @@ impl OnlineEngine {
             num_times: train.num_times(),
             nnz: train.nnz(),
         };
-        self.snapshot = Arc::new(ModelSnapshot::new(fit.model, report.epoch));
-        self.serve.swap_snapshot(Arc::clone(&self.snapshot));
-        self.since_refresh = 0;
+        self.publish(fit.model)?;
         Ok(report)
+    }
+
+    /// Hot-swaps `model` into serving as epoch + 1, invalidating the
+    /// cache, if it passes the publish gate: [`ModelSnapshot::try_new`],
+    /// plus the shape every later warm refresh needs (this log's item
+    /// catalog and at most its users and intervals, the configured
+    /// topic counts). A refused model leaves the current epoch serving
+    /// (the same `Arc`), counts as a rejected refresh, and comes back
+    /// as [`OnlineError::Refused`]. Returns the published epoch.
+    pub fn publish(&mut self, model: TtcamModel) -> Result<u64> {
+        let epoch = self.epoch() + 1;
+        let published =
+            self.check_warm_prior(&model).and_then(|()| ModelSnapshot::try_new(model, epoch));
+        match published {
+            Ok(snapshot) => {
+                self.snapshot = Arc::new(snapshot);
+                self.serve.swap_snapshot(Arc::clone(&self.snapshot));
+                Ok(epoch)
+            }
+            Err(e) => {
+                self.rejected_refreshes += 1;
+                Err(OnlineError::Refused(e))
+            }
+        }
+    }
+
+    /// Whether `model` can seed this engine's next `fit_warm`.
+    fn check_warm_prior(&self, model: &TtcamModel) -> std::result::Result<(), InvalidModel> {
+        let fit = &self.config.fit;
+        let fixed = [
+            ("items", self.log.num_items(), model.num_items()),
+            ("user topics", fit.num_user_topics, model.num_user_topics()),
+            ("time topics", fit.num_time_topics, model.num_time_topics()),
+        ];
+        let bounded = [
+            ("users", self.log.num_users(), model.num_users()),
+            ("times", self.log.num_times(), model.num_times()),
+        ];
+        let fixed = fixed.into_iter().filter(|&(_, expected, found)| found != expected);
+        let bounded = bounded.into_iter().filter(|&(_, bound, found)| found > bound);
+        match fixed.chain(bounded).next() {
+            Some((param, expected, found)) => Err(InvalidModel::Shape { param, expected, found }),
+            None => Ok(()),
+        }
     }
 
     /// Answers one query against the currently published snapshot.
@@ -194,6 +258,12 @@ impl OnlineEngine {
     /// Ratings accepted since the last refresh.
     pub fn since_refresh(&self) -> u64 {
         self.since_refresh
+    }
+
+    /// Refreshes and publishes that left the previous epoch serving: a
+    /// failed refit or a model the publish gate refused.
+    pub fn rejected_refreshes(&self) -> u64 {
+        self.rejected_refreshes
     }
 
     /// The pipeline configuration.
@@ -294,6 +364,61 @@ mod tests {
         let outcome = eng.ingest(rating(1, last_t + 1, 0, 1.0)).unwrap();
         assert!(!outcome.rolled_over);
         assert!(outcome.refreshed.is_none());
+    }
+
+    #[test]
+    fn failed_refit_keeps_the_epoch_serving_and_accepts_the_rating() {
+        let (n, v, maxt, ratings) = seed_stream(25);
+        let split = ratings.len() - 5;
+        let (seed, rest) = ratings.split_at(split);
+        let policy = RefreshPolicy { every_ratings: Some(2), on_rollover: false };
+        let mut eng =
+            OnlineEngine::bootstrap(n, v, maxt, seed.to_vec(), small_config(policy)).unwrap();
+        let serving = eng.serve().snapshot();
+        // A topic count that no longer matches the prior: `fit_warm`
+        // returns a typed error on every refresh.
+        eng.config.fit.num_user_topics += 1;
+        let accepted = eng.log().len();
+        eng.ingest(rest[0]).unwrap();
+        let outcome = eng.ingest(rest[1]).expect("the rating was appended, so ingest is Ok");
+        assert!(outcome.refreshed.is_none());
+        assert!(matches!(outcome.refused, Some(OnlineError::Model(_))), "{outcome:?}");
+        assert_eq!(eng.log().len(), accepted + 2);
+        assert_eq!(eng.rejected_refreshes(), 1);
+        assert_eq!(eng.since_refresh(), 0, "a refused refresh restarts the counter");
+        assert!(Arc::ptr_eq(&serving, &eng.serve().snapshot()), "the previous epoch serves");
+        assert_eq!(eng.epoch(), 1);
+        // The next rating is not due, so it does not refit again.
+        let outcome = eng.ingest(rest[2]).unwrap();
+        assert!(outcome.refreshed.is_none() && outcome.refused.is_none());
+        assert_eq!(eng.rejected_refreshes(), 1);
+        // Restore the config: the next due refresh publishes epoch 2.
+        eng.config.fit.num_user_topics -= 1;
+        let outcome = eng.ingest(rest[3]).unwrap();
+        assert_eq!(outcome.refreshed.map(|r| r.epoch), Some(2));
+        assert_eq!(eng.epoch(), 2);
+    }
+
+    #[test]
+    fn publish_refuses_a_prior_the_next_refresh_could_not_warm_start() {
+        let (n, v, maxt, ratings) = seed_stream(26);
+        let mut eng =
+            OnlineEngine::bootstrap(n, v, maxt, ratings, small_config(RefreshPolicy::manual()))
+                .unwrap();
+        let other = small_config(RefreshPolicy::manual()).fit.with_user_topics(4);
+        let train = training_cuboid(eng.log(), eng.config());
+        let model = TtcamModel::fit(&train, &other).unwrap().model;
+        let refused = eng.publish(model).unwrap_err();
+        assert!(matches!(
+            refused,
+            OnlineError::Refused(InvalidModel::Shape {
+                param: "user topics",
+                expected: 3,
+                found: 4
+            })
+        ));
+        assert_eq!((eng.epoch(), eng.rejected_refreshes()), (1, 1));
+        assert_eq!(eng.refresh().unwrap().epoch, 2, "refreshes still warm-start");
     }
 
     #[test]

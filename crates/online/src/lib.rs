@@ -22,7 +22,10 @@
 //!   ratings and/or on interval rollover) warm-starts EM from the
 //!   previous model's rows ([`tcam_core::TtcamModel::fit_warm`]),
 //!   rebuilds the TA index with the existing parallel build, and
-//!   hot-swaps the new epoch into serving with cache invalidation.
+//!   hot-swaps the new epoch into serving with cache invalidation. A
+//!   refit that fails, or a model the publish gate
+//!   ([`tcam_serve::ModelSnapshot::try_new`]) refuses, leaves the
+//!   previous epoch serving and is counted.
 //!   Between refreshes, queries at not-yet-fitted intervals degrade
 //!   through the serving engine's existing clamp/fold-in path.
 //!
@@ -41,13 +44,13 @@ pub mod oracle;
 pub use engine::{IngestOutcome, OnlineConfig, OnlineEngine, RefreshPolicy, RefreshReport};
 pub use ingest::IngestLog;
 
-use tcam_core::ModelError;
+use tcam_core::{InvalidModel, ModelError};
 use tcam_data::DataError;
 
 /// Errors from online ingestion and refresh. Validation failures are
 /// reported, never panicked on: a bad rating is an expected input in a
 /// streaming system.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OnlineError {
     /// An id was outside the stream's declared bounds.
     IdOutOfRange {
@@ -76,6 +79,9 @@ pub enum OnlineError {
     Model(ModelError),
     /// A refresh failed inside dataset construction.
     Data(DataError),
+    /// The publish gate refused a model; the previous epoch keeps
+    /// serving.
+    Refused(InvalidModel),
 }
 
 impl std::fmt::Display for OnlineError {
@@ -90,6 +96,7 @@ impl std::fmt::Display for OnlineError {
             }
             OnlineError::Model(e) => write!(f, "refresh failed: {e}"),
             OnlineError::Data(e) => write!(f, "refresh failed: {e}"),
+            OnlineError::Refused(e) => write!(f, "model refused: {e}"),
         }
     }
 }
@@ -99,6 +106,7 @@ impl std::error::Error for OnlineError {
         match self {
             OnlineError::Model(e) => Some(e),
             OnlineError::Data(e) => Some(e),
+            OnlineError::Refused(e) => Some(e),
             _ => None,
         }
     }
@@ -107,6 +115,12 @@ impl std::error::Error for OnlineError {
 impl From<ModelError> for OnlineError {
     fn from(e: ModelError) -> Self {
         OnlineError::Model(e)
+    }
+}
+
+impl From<InvalidModel> for OnlineError {
+    fn from(e: InvalidModel) -> Self {
+        OnlineError::Refused(e)
     }
 }
 

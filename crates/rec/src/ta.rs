@@ -577,9 +577,10 @@ pub struct QueryScratch {
     /// Block-max kernel: per-block score upper bounds.
     bounds: Vec<f64>,
     /// Block-max kernel: block ids by descending bound, then each
-    /// block's items seen so far (for the termination cap's walk). One
-    /// buffer keeps the scratch within 256 bytes, which the pool moves
-    /// per checkout without a `memcpy` call.
+    /// block's items seen so far (for the termination cap's walk), in
+    /// one buffer. The serving pool moves the whole scratch on every
+    /// checkout, and only a cache miss checks one out; at 256 bytes or
+    /// less that move is inline copies rather than a `memcpy` call.
     blocks: Vec<u32>,
     /// Dense fallback: full catalog scores.
     dense: Vec<f64>,
@@ -587,7 +588,7 @@ pub struct QueryScratch {
     topk: TopK,
     /// A history query's fold-in buffers and the user it folds in (see
     /// [`Self::with_fold`]), boxed on first use so that they add one
-    /// pointer to the scratch the pool moves (see `blocks`).
+    /// pointer to the scratch a checkout moves (see `blocks`).
     fold: Option<Box<(FoldScratch, FoldedUser)>>,
 }
 

@@ -6,8 +6,18 @@
 //! The cache is split into independently locked shards so concurrent
 //! workers rarely contend; hit/miss counters are lock-free atomics and
 //! feed the [`crate::ServingStats`] hit rate.
+//!
+//! A key is three `u32` words, so both hashes are word-wise: the shard
+//! is an additive combination of the words modulo the shard count
+//! (consecutive users land in consecutive shards), and each shard's map
+//! hashes with `KeyHasher`, a fixed multiply-rotate mix. Query keys
+//! come from outside the program, and a fixed hash has no per-process
+//! seed to defend against keys crafted to collide. A shard holds at
+//! most `capacity / num_shards` entries (256 at the serving default),
+//! so such keys can slow a lookup to a scan of one shard, no more.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tcam_math::topk::Scored;
@@ -17,6 +27,37 @@ pub type CacheKey = (u32, u32, u32);
 
 /// Sentinel slot index for "no neighbor" in the intrusive LRU list.
 const NIL: usize = usize::MAX;
+
+/// The shard map's hasher: one multiply-rotate step per key word
+/// (`CacheKey` hashes as three `write_u32` calls).
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    const SEED: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.mix(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.mix(u64::from(word));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type KeyMap = HashMap<CacheKey, usize, BuildHasherDefault<KeyHasher>>;
 
 struct Slot {
     key: CacheKey,
@@ -34,7 +75,7 @@ struct Slot {
 /// plus an intrusive doubly linked recency list over the slot arena.
 struct LruShard {
     capacity: usize,
-    map: HashMap<CacheKey, usize>,
+    map: KeyMap,
     slots: Vec<Slot>,
     /// Most recently used slot.
     head: usize,
@@ -46,7 +87,7 @@ impl LruShard {
     fn new(capacity: usize) -> Self {
         LruShard {
             capacity,
-            map: HashMap::with_capacity(capacity),
+            map: KeyMap::with_capacity_and_hasher(capacity, Default::default()),
             slots: Vec::with_capacity(capacity),
             head: NIL,
             tail: NIL,
@@ -159,21 +200,20 @@ impl TopKCache {
     // tcam-lint: allow-fn(no-panic) -- the index is reduced modulo shards.len(),
     // which `new` guarantees is >= 1
     fn shard(&self, key: &CacheKey) -> &Mutex<LruShard> {
-        // FNV-1a over the key words; shard count is small so modulo bias
-        // is irrelevant.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for word in [key.0, key.1, key.2] {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        }
+        // Additive, so consecutive users (or intervals) cycle through
+        // every shard; the odd multipliers keep `t` and `k` from
+        // lining up with `u`. Shard counts are small, so modulo bias is
+        // irrelevant.
+        let h = u64::from(key.0)
+            + u64::from(key.1).wrapping_mul(0x9e37_79b9)
+            + u64::from(key.2).wrapping_mul(0x85eb_ca6b);
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
 
     /// Looks up a query result computed against snapshot `epoch`,
     /// counting the hit or miss. Entries tagged with a different epoch
     /// are treated as misses so a swap can never serve stale results.
+    // tcam-lint: hot
     pub fn get(&self, key: &CacheKey, epoch: u64) -> Option<Arc<Vec<Scored>>> {
         // tcam-lint: allow(no-panic) -- a poisoned shard means a panic already happened
         let result = self.shard(key).lock().expect("cache shard poisoned").get(key, epoch);
@@ -346,6 +386,48 @@ mod tests {
         }
         assert!(cache.len() <= cache.capacity());
         assert!(cache.len() > 8, "entries land in multiple shards");
+    }
+
+    #[test]
+    fn zipf_like_keys_spread_over_every_shard() {
+        // Heavy-tailed traffic: users < 2000 drawn log-uniformly (a
+        // Zipf-like skew toward small ids), intervals < 60, k in
+        // {5, 10, 50}. The first 3,000 distinct keys must reach all 16
+        // shards, each within 25% of its even share of 187. The
+        // capacity leaves room for every key in any one shard, so
+        // nothing is evicted.
+        let cache = TopKCache::new(16 * 3_000, 16);
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        while cache.len() < 3_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let uniform = (x >> 11) as f64 / (1u64 << 53) as f64;
+            let user = (2000f64.powf(uniform) as u32 - 1).min(1999);
+            let time = ((x >> 3) % 60) as u32;
+            let k = [5, 10, 50][(x % 3) as usize];
+            cache.insert((user, time, k), 1, entry(0.0));
+        }
+        let even = 3_000 / 16;
+        for (i, shard) in cache.shards.iter().enumerate() {
+            let n = shard.lock().unwrap().map.len();
+            assert!((even * 3 / 4..=even * 5 / 4).contains(&n), "shard {i} holds {n} of 3000 keys");
+        }
+    }
+
+    #[test]
+    fn key_hasher_separates_nearby_keys() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<KeyHasher>::default();
+        let mut hashes = std::collections::BTreeSet::new();
+        for u in 0..50u32 {
+            for t in 0..20u32 {
+                for k in [5u32, 10, 50] {
+                    hashes.insert(build.hash_one((u, t, k)));
+                }
+            }
+        }
+        assert_eq!(hashes.len(), 50 * 20 * 3, "no collisions among 3,000 nearby keys");
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The serving engine: cache → block-max kernel. Every query — a
 //! fitted user, an unseen id, or a supplied history — is one
-//! `vartheta_q` ranked by the snapshot's TA index.
+//! `vartheta_q` ranked by the snapshot's TA index. A cache hit touches
+//! only the cache and three stats atomics; a query checks scratch out
+//! of the pool only when it misses.
 
 use crate::batch::balanced_query_shards;
 use crate::cache::{CacheKey, TopKCache};
-use crate::scratch::ScratchPool;
+use crate::scratch::{ScratchGuard, ScratchPool};
 use crate::snapshot::ModelSnapshot;
 use crate::stats::{ServingStats, StatsRecorder};
 use std::sync::{Arc, RwLock};
@@ -139,8 +141,7 @@ impl ServeEngine {
     /// Answers one query.
     pub fn query(&self, q: Query) -> Response {
         let snap = self.snapshot();
-        let mut scratch = self.scratch.checkout();
-        self.answer(&snap, &mut scratch, q)
+        self.answer(&snap, q, &mut None)
     }
 
     /// Answers one query scoring with `history` folded in instead of
@@ -173,14 +174,15 @@ impl ServeEngine {
     /// Answers a batch across up to `num_threads` scoped workers.
     /// Queries are sharded into contiguous ranges balanced by `k` (the
     /// same discipline `tcam_core::parallel` applies to users), every
-    /// worker reuses one scratch buffer for its whole shard, and
-    /// responses come back in input order.
+    /// worker checks out one scratch buffer at its first cache miss and
+    /// reuses it for the rest of its shard, and responses come back in
+    /// input order.
     pub fn query_batch(&self, queries: &[Query], num_threads: usize) -> Vec<Response> {
         let snap = self.snapshot();
         let shards = balanced_query_shards(queries, num_threads);
         if shards.len() == 1 {
-            let mut scratch = self.scratch.checkout();
-            return queries.iter().map(|&q| self.answer(&snap, &mut scratch, q)).collect();
+            let mut scratch = None;
+            return queries.iter().map(|&q| self.answer(&snap, q, &mut scratch)).collect();
         }
         let per_shard: Vec<Vec<Response>> = std::thread::scope(|scope| {
             let handles: Vec<_> = shards
@@ -188,11 +190,11 @@ impl ServeEngine {
                 .map(|range| {
                     let snap = &snap;
                     scope.spawn(move || {
-                        let mut scratch = self.scratch.checkout();
+                        let mut scratch = None;
                         // tcam-lint: allow(no-panic) -- shard ranges partition 0..queries.len()
                         queries[range]
                             .iter()
-                            .map(|&q| self.answer(snap, &mut scratch, q))
+                            .map(|&q| self.answer(snap, q, &mut scratch))
                             .collect::<Vec<Response>>()
                     })
                 })
@@ -203,23 +205,45 @@ impl ServeEngine {
         per_shard.into_iter().flatten().collect()
     }
 
-    /// The single-query hot path, shared by [`Self::query`] and the
-    /// batch workers.
-    fn answer(&self, snap: &ModelSnapshot, scratch: &mut QueryScratch, q: Query) -> Response {
+    /// The single-query path, shared by [`Self::query`] and the batch
+    /// workers: the cache first, then — on a miss — the kernel on the
+    /// caller's scratch, checked out of the pool on its first miss.
+    fn answer<'a>(
+        &'a self,
+        snap: &ModelSnapshot,
+        q: Query,
+        scratch: &mut Option<ScratchGuard<'a>>,
+    ) -> Response {
         let start = Instant::now();
-        let time = clamp_time(snap, q.time);
-        let key: CacheKey = (q.user.0, time.0, q.k.min(u32::MAX as usize) as u32);
-
-        if let Some(items) = self.cache.get(&key, snap.epoch()) {
-            self.stats.record(0, 0, false, elapsed_nanos(start));
-            return Response {
-                items,
-                items_examined: 0,
-                source: Source::CacheHit,
-                epoch: snap.epoch(),
-            };
+        let key: CacheKey =
+            (q.user.0, clamp_time(snap, q.time).0, q.k.min(u32::MAX as usize) as u32);
+        if let Some(hit) = self.lookup(snap, &key, start) {
+            return hit;
         }
+        let scratch = scratch.get_or_insert_with(|| self.scratch.checkout());
+        self.compute(snap, scratch, q, key, start)
+    }
 
+    /// The hit path: the cached answer to `key` at the snapshot's
+    /// epoch, recorded as a hit.
+    // tcam-lint: hot
+    fn lookup(&self, snap: &ModelSnapshot, key: &CacheKey, start: Instant) -> Option<Response> {
+        let items = self.cache.get(key, snap.epoch())?;
+        self.stats.record_hit(elapsed_nanos(start));
+        Some(Response { items, items_examined: 0, source: Source::CacheHit, epoch: snap.epoch() })
+    }
+
+    /// The miss path: ranks `q` (whose clamped key is `key`) with the
+    /// block-max kernel and caches the answer.
+    fn compute(
+        &self,
+        snap: &ModelSnapshot,
+        scratch: &mut QueryScratch,
+        q: Query,
+        key: CacheKey,
+        start: Instant,
+    ) -> Response {
+        let time = TimeId(key.1);
         let (index, model) = (snap.index(), snap.model());
         let mut items = Vec::new();
         let (work, source) = if q.user.index() < snap.num_users() {
@@ -466,6 +490,92 @@ mod tests {
         // Every answered query lands in the kernel-work histograms.
         assert_eq!(stats.items_examined_log2.iter().sum::<u64>(), 5);
         assert_eq!(stats.blocks_skipped_log2.iter().sum::<u64>(), 5);
+    }
+
+    #[test]
+    fn a_cache_hit_checks_out_no_scratch() {
+        let eng = engine(413, ServeConfig::default());
+        let q = Query { user: UserId(2), time: TimeId(1), k: 5 };
+        eng.query(q);
+        assert_eq!(eng.scratch.created(), 1);
+        // Hold the pool's only scratch: a query that checked one out
+        // now would have to create a second.
+        let held = eng.scratch.checkout();
+        let hit = eng.query(q);
+        assert_eq!(hit.source, Source::CacheHit);
+        assert_eq!(eng.scratch.created(), 1, "a cache hit must not check out scratch");
+        let hits = eng.query_batch(&[q; 3], 1);
+        assert!(hits.iter().all(|r| r.source == Source::CacheHit));
+        assert_eq!(eng.scratch.created(), 1, "an all-hit batch shard checks out nothing");
+        drop(held);
+    }
+
+    #[test]
+    fn stats_match_per_query_accounting() {
+        let eng = engine(414, ServeConfig::default());
+        let snap = eng.snapshot();
+        let (model, index) = (snap.model(), snap.index());
+        let unseen = UserId(snap.num_users() as u32 + 2);
+        let history = [
+            FoldInRating { time: TimeId(0), item: 1, value: 1.0 },
+            FoldInRating { time: TimeId(2), item: 4, value: 2.0 },
+        ];
+        let (iterations, shrinkage) =
+            (eng.config().foldin_iterations, eng.config().foldin_shrinkage);
+        let folded = model.fold_in_user(&history, iterations, shrinkage);
+
+        // Per-query accounting: what each answer should record.
+        let expected = StatsRecorder::new();
+        let (mut hits, mut misses) = (0, 0);
+        let mut account = |q: Query, response: &Response, with_history: bool| {
+            let time = clamp_time(&snap, q.time);
+            let work = if response.source == Source::CacheHit {
+                hits += 1;
+                expected.record(0, 0, false, 1);
+                return;
+            } else if with_history {
+                let scorer = FoldedScorer { model, folded: &folded };
+                index.top_k(&scorer, q.user, time, q.k)
+            } else if q.user.index() < snap.num_users() {
+                misses += 1;
+                index.top_k(model, q.user, time, q.k)
+            } else {
+                misses += 1;
+                let scorer = FoldedScorer { model, folded: snap.default_folded() };
+                index.top_k(&scorer, q.user, time, q.k)
+            };
+            assert_eq!(response.items_examined, work.items_examined);
+            let is_folded = response.source == Source::FoldIn;
+            expected.record(work.items_examined, work.blocks_skipped, is_folded, 1);
+        };
+
+        let fitted = Query { user: UserId(1), time: TimeId(0), k: 6 };
+        let cold = Query { user: unseen, time: TimeId(1), k: 4 };
+        let clamped = Query { user: UserId(3), time: TimeId(999), k: 8 };
+        for q in [fitted, fitted, cold, cold, clamped] {
+            let response = eng.query(q);
+            account(q, &response, false);
+        }
+        for q in [fitted, cold] {
+            let response = eng.query_with_history(q, &history);
+            account(q, &response, true);
+        }
+        let batch = [clamped, fitted, Query { user: UserId(0), time: TimeId(2), k: 3 }, cold];
+        for (q, response) in batch.iter().zip(eng.query_batch(&batch, 2)) {
+            account(*q, &response, false);
+        }
+
+        let actual = eng.stats();
+        assert_eq!((actual.cache_hits, actual.cache_misses), (hits, misses));
+        let mut predicted = expected.report(hits, misses);
+        predicted.latency_p50_us = actual.latency_p50_us;
+        predicted.latency_p90_us = actual.latency_p90_us;
+        predicted.latency_p99_us = actual.latency_p99_us;
+        predicted.mean_latency_us = actual.mean_latency_us;
+        predicted.total_query_time_s = actual.total_query_time_s;
+        assert_eq!(actual, predicted);
+        assert_eq!(actual.queries, 11);
+        assert_eq!(actual.cache_hits, 5);
     }
 
     #[test]

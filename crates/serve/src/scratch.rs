@@ -2,10 +2,12 @@
 //!
 //! The block-max kernel keeps all per-query state in a
 //! [`QueryScratch`] whose buffers size themselves on first use and are
-//! stable thereafter. Workers check one out of a shared pool, reuse it
-//! for every query they answer, and return it on drop, so in steady
-//! state the pool holds one scratch per concurrent worker and the
-//! kernel performs no heap allocation beyond its result vector.
+//! stable thereafter. A worker checks one out of a shared pool at its
+//! first cache miss (a hit never needs one), reuses it for every
+//! further miss it answers, and returns it on drop, so in steady state
+//! the pool holds one scratch per concurrent worker and the kernel
+//! performs no heap allocation beyond its result vector. A checkout
+//! costs a mutex, a pop and a move of the scratch, and its drop a push.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};

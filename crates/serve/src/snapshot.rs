@@ -6,7 +6,7 @@
 //! bundle atomically on model refresh, so a query never observes a
 //! model paired with a stale index.
 
-use tcam_core::{FoldedUser, TtcamModel};
+use tcam_core::{FoldedUser, InvalidModel, TtcamModel};
 use tcam_rec::TaIndex;
 
 /// The fold-in backoff for a user with no evidence at all: the personal
@@ -40,6 +40,16 @@ impl ModelSnapshot {
         let index = TaIndex::build_with_threads(&model, threads);
         let default_folded = context_only_prior(&model);
         ModelSnapshot { model, index, default_folded, epoch }
+    }
+
+    /// The publish gate: [`Self::new`] for a model that passes
+    /// [`TtcamModel::validate`] (consistent shapes, finite values,
+    /// distribution rows, mixing weights in `[0, 1]`), and the typed
+    /// reason otherwise. The block-max kernel's bounds assume all of
+    /// these, so a model that fails them must never reach serving.
+    pub fn try_new(model: TtcamModel, epoch: u64) -> Result<Self, InvalidModel> {
+        model.validate()?;
+        Ok(Self::new(model, epoch))
     }
 
     /// The fitted model.
@@ -106,6 +116,12 @@ mod tests {
         assert_eq!(snap.num_items(), items);
         assert_eq!(snap.num_times(), times);
         assert_eq!(snap.index().num_items(), items);
+    }
+
+    #[test]
+    fn a_fitted_model_passes_the_publish_gate() {
+        let snap = ModelSnapshot::try_new(fitted(), 3).expect("a fit is servable");
+        assert_eq!(snap.epoch(), 3);
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! Workers record into shared atomics on every query — no mutex on the
 //! hot path — and [`StatsRecorder::report`] folds the counters into a
 //! serializable [`ServingStats`] for dashboards and the load-generator
-//! report. Latencies — and, since the block-max kernel landed, per-query
+//! report. A cache hit examines nothing and skips nothing, so it is
+//! recorded in three atomics ([`StatsRecorder::record_hit`]) and the
+//! report adds it to the query count and to bucket 0 of the kernel-work
+//! histograms. Latencies — and, since the block-max kernel landed, per-query
 //! items-examined and blocks-skipped counts — go into log2-bucketed
 //! histograms: quantiles are read as the upper edge of the containing
 //! bucket, so they are exact to within a factor of two, which is plenty
@@ -81,7 +84,10 @@ impl Log2Histogram {
 /// Shared counters the engine's query path records into.
 #[derive(Debug, Default)]
 pub struct StatsRecorder {
+    /// Queries recorded through [`Self::record`].
     queries: AtomicU64,
+    /// Cache hits recorded through [`Self::record_hit`].
+    hits: AtomicU64,
     folded_queries: AtomicU64,
     items_examined: AtomicU64,
     blocks_skipped: AtomicU64,
@@ -97,23 +103,36 @@ impl StatsRecorder {
         Self::default()
     }
 
-    /// Records one answered query.
+    /// Records one query the kernel answered.
     pub fn record(&self, items_examined: usize, blocks_skipped: usize, folded: bool, nanos: u64) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         if folded {
             self.folded_queries.fetch_add(1, Ordering::Relaxed);
         }
-        self.items_examined.fetch_add(items_examined as u64, Ordering::Relaxed);
-        self.blocks_skipped.fetch_add(blocks_skipped as u64, Ordering::Relaxed);
+        if items_examined > 0 {
+            self.items_examined.fetch_add(items_examined as u64, Ordering::Relaxed);
+        }
+        if blocks_skipped > 0 {
+            self.blocks_skipped.fetch_add(blocks_skipped as u64, Ordering::Relaxed);
+        }
         self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
         self.latency.record(nanos);
         self.items_hist.record(items_examined as u64);
         self.blocks_hist.record(blocks_skipped as u64);
     }
 
-    /// Queries recorded so far.
+    /// Records one query answered from the cache: the same report as
+    /// `record(0, 0, false, nanos)`, in three atomics instead of seven.
+    // tcam-lint: hot
+    pub fn record_hit(&self, nanos: u64) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.latency.record(nanos);
+    }
+
+    /// Queries recorded so far, cache hits included.
     pub fn queries(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
+        self.queries.load(Ordering::Relaxed) + self.hits.load(Ordering::Relaxed)
     }
 
     /// The latency histogram.
@@ -121,12 +140,15 @@ impl StatsRecorder {
         &self.latency
     }
 
-    /// Per-query items-examined histogram.
+    /// Per-query items-examined histogram of the queries recorded
+    /// through [`Self::record`] (cache hits join bucket 0 in
+    /// [`Self::report`]).
     pub fn items_examined_histogram(&self) -> &Log2Histogram {
         &self.items_hist
     }
 
-    /// Per-query blocks-skipped histogram.
+    /// Per-query blocks-skipped histogram, like
+    /// [`Self::items_examined_histogram`].
     pub fn blocks_skipped_histogram(&self) -> &Log2Histogram {
         &self.blocks_hist
     }
@@ -134,7 +156,8 @@ impl StatsRecorder {
     /// Folds the counters (plus the cache's hit/miss counts, which live
     /// with the cache) into a serializable report.
     pub fn report(&self, cache_hits: u64, cache_misses: u64) -> ServingStats {
-        let queries = self.queries();
+        let hits = self.hits.load(Ordering::Relaxed);
+        let queries = self.queries.load(Ordering::Relaxed) + hits;
         let items = self.items_examined.load(Ordering::Relaxed);
         let blocks = self.blocks_skipped.load(Ordering::Relaxed);
         let nanos = self.total_nanos.load(Ordering::Relaxed);
@@ -149,8 +172,8 @@ impl StatsRecorder {
             mean_items_examined: if queries == 0 { 0.0 } else { items as f64 / queries as f64 },
             blocks_skipped: blocks,
             mean_blocks_skipped: if queries == 0 { 0.0 } else { blocks as f64 / queries as f64 },
-            items_examined_log2: self.items_hist.snapshot(),
-            blocks_skipped_log2: self.blocks_hist.snapshot(),
+            items_examined_log2: with_zeros(self.items_hist.snapshot(), hits),
+            blocks_skipped_log2: with_zeros(self.blocks_hist.snapshot(), hits),
             latency_p50_us: self.latency.quantile(0.50) / 1_000.0,
             latency_p90_us: self.latency.quantile(0.90) / 1_000.0,
             latency_p99_us: self.latency.quantile(0.99) / 1_000.0,
@@ -162,6 +185,17 @@ impl StatsRecorder {
             total_query_time_s: nanos as f64 / 1e9,
         }
     }
+}
+
+/// Adds `zeros` observations of 0 to a trimmed log2 snapshot.
+fn with_zeros(mut buckets: Vec<u64>, zeros: u64) -> Vec<u64> {
+    if zeros > 0 {
+        match buckets.first_mut() {
+            Some(first) => *first += zeros,
+            None => buckets.push(zeros),
+        }
+    }
+    buckets
 }
 
 /// A point-in-time summary of serving behavior. `total_query_time_s`
@@ -273,6 +307,30 @@ mod tests {
         assert!((stats.cache_hit_rate - 0.75).abs() < 1e-12);
         assert!((stats.mean_latency_us - 2.0).abs() < 1e-12);
         assert!((stats.total_query_time_s - 4e-6).abs() < 1e-18);
+    }
+
+    #[test]
+    fn a_hit_reports_like_a_zero_work_record() {
+        let (hit, zero) = (StatsRecorder::new(), StatsRecorder::new());
+        for r in [&hit, &zero] {
+            r.record(100, 12, false, 1_000);
+            r.record(0, 3, true, 2_500);
+        }
+        hit.record_hit(700);
+        hit.record_hit(900);
+        zero.record(0, 0, false, 700);
+        zero.record(0, 0, false, 900);
+        assert_eq!(hit.report(2, 2), zero.report(2, 2));
+        assert_eq!(hit.queries(), 4);
+        assert_eq!(hit.latency().count(), 4);
+
+        // Hits alone still fill bucket 0 of the kernel-work histograms.
+        let only = StatsRecorder::new();
+        only.record_hit(10);
+        let stats = only.report(1, 0);
+        assert_eq!(stats.items_examined_log2, vec![1]);
+        assert_eq!(stats.blocks_skipped_log2, vec![1]);
+        assert_eq!(stats.queries, 1);
     }
 
     #[test]

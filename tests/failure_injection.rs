@@ -276,3 +276,100 @@ fn rejected_rating_leaves_live_snapshot_untouched() {
     let lambdas_after: Vec<u64> = eng.model().lambdas().iter().map(|l| l.to_bits()).collect();
     assert_eq!(lambdas_before, lambdas_after, "warm-start prior mutated");
 }
+
+/// `model` re-read from its JSON file with the first value of `field`'s
+/// array replaced by `replacement` (or removed, when it is empty): a
+/// corrupted model file, the way a bad model reaches a server from
+/// outside the fit.
+fn corrupted(model: &TtcamModel, field: &str, replacement: &str) -> TtcamModel {
+    let name = format!("tcam-gate-{}-{field}-{}.json", std::process::id(), replacement.len());
+    let path = std::env::temp_dir().join(name);
+    tcam::core::model::save_model(model, &path).expect("save");
+    let json = std::fs::read_to_string(&path).expect("read");
+    let at = json.find(&format!("\"{field}\":")).expect("field present");
+    let first = at + json[at..].find('[').expect("array") + 1;
+    let mut end = first + json[first..].find([',', ']']).expect("value");
+    if replacement.is_empty() {
+        end += 1; // drop the separator with the value
+    }
+    let edited = format!("{}{replacement}{}", &json[..first], &json[end..]);
+    std::fs::write(&path, edited).expect("write");
+    let back = tcam::core::model::load_ttcam(&path).expect("still parses");
+    std::fs::remove_file(&path).ok();
+    back
+}
+
+/// The publish gate refuses each class of unservable model with a
+/// typed error, both as `ModelSnapshot::try_new` and through
+/// `OnlineEngine::publish`, which keeps the previous epoch serving.
+#[test]
+fn publish_gate_refuses_each_invalid_model_class() {
+    use std::sync::Arc;
+    use tcam::core::InvalidModel;
+    use tcam::online::OnlineError;
+
+    let data = SynthDataset::generate(tcam::data::synth::tiny(98)).unwrap();
+    let c = &data.cuboid;
+    let mut stream: Vec<Rating> = c.entries().to_vec();
+    stream.sort_by_key(|r| (r.time, r.user, r.item));
+    let config = OnlineConfig {
+        fit: FitConfig::default()
+            .with_user_topics(3)
+            .with_time_topics(2)
+            .with_iterations(3)
+            .with_seed(98),
+        policy: RefreshPolicy::manual(),
+        ..Default::default()
+    };
+    let mut eng =
+        OnlineEngine::bootstrap(c.num_users(), c.num_items(), c.num_times(), stream, config)
+            .unwrap();
+    let fitted = eng.model().clone();
+    assert_eq!(fitted.validate(), Ok(()));
+    let n = fitted.num_users();
+
+    type Case = (&'static str, &'static str, fn(&InvalidModel) -> bool);
+    let cases: [Case; 6] = [
+        ("theta", "1e999", |e| matches!(e, InvalidModel::NonFinite { param: "theta", index: 0 })),
+        ("background", "1e999", |e| {
+            matches!(e, InvalidModel::NonFinite { param: "background", index: 0 })
+        }),
+        (
+            "phi_t",
+            "2.0",
+            |e| matches!(e, InvalidModel::NotDistribution { param: "phi_t", row: 0, sum } if *sum > 2.0),
+        ),
+        ("theta_t", "-0.25", |e| {
+            matches!(e, InvalidModel::NotDistribution { param: "theta_t", row: 0, .. })
+        }),
+        (
+            "lambda",
+            "1.5",
+            |e| matches!(e, InvalidModel::LambdaOutOfRange { param: "lambda", index: 0, value } if *value == 1.5),
+        ),
+        ("lambda", "", |e| matches!(e, InvalidModel::Shape { param: "lambda", .. })),
+    ];
+    let serving = eng.serve().snapshot();
+    let q = Query { user: UserId(0), time: TimeId(0), k: 3 };
+    let before = eng.query(q);
+    for (i, (field, replacement, is_expected)) in cases.into_iter().enumerate() {
+        let label = format!("{field} <- {replacement:?}");
+        let bad = corrupted(&fitted, field, replacement);
+        let err = ModelSnapshot::try_new(bad.clone(), 2).expect_err(&label);
+        assert!(is_expected(&err), "{label}: got {err:?}");
+        if let InvalidModel::Shape { expected, found, .. } = err {
+            assert_eq!((expected, found), (n, n - 1));
+        }
+
+        let refused = eng.publish(bad).expect_err(&label);
+        assert!(matches!(&refused, OnlineError::Refused(e) if *e == err), "{label}: {refused:?}");
+        assert_eq!(eng.rejected_refreshes(), i as u64 + 1);
+        assert_eq!(eng.epoch(), 1, "{label}: a refused model was published");
+        assert!(Arc::ptr_eq(&serving, &eng.serve().snapshot()), "{label}: snapshot swapped");
+        let after = eng.query(q);
+        assert_eq!((after.epoch, &after.items), (1, &before.items), "{label}");
+    }
+    // The untouched model still publishes, and refreshes resume.
+    assert_eq!(eng.publish(fitted).expect("a fit passes the gate"), 2);
+    assert_eq!(eng.refresh().expect("warm refresh").epoch, 3);
+}

@@ -11,7 +11,9 @@
 //!   the model has never seen) performs **zero** heap events once its
 //!   scratch and output buffers are warm,
 //! - so does a history query: a session folded in on a warm
-//!   `FoldScratch`, then ranked with the block-max kernel, and
+//!   `FoldScratch`, then ranked with the block-max kernel,
+//! - so does a `ServeEngine::query` answered from the response cache,
+//!   snapshot read, lookup and stats included, and
 //! - a warm EM iteration (serial `fit_warm` resuming from a converged
 //!   model, the online-refresh path of DESIGN.md §13) allocates
 //!   nothing after the training-loop buffers are built: fits differing
@@ -25,7 +27,7 @@ use tcam::data::synth;
 use tcam::prelude::*;
 use tcam::rec::ta::QueryScratch;
 use tcam::rec::FoldedScorer;
-use tcam::serve::ModelSnapshot;
+use tcam::serve::{ModelSnapshot, Query, ServeConfig, ServeEngine, Source};
 use tcam_analysis::{allocation_events, deallocation_events, CountingAlloc};
 
 #[global_allocator]
@@ -138,6 +140,31 @@ fn warm_fold_in_and_history_ranking_are_allocation_free() {
         0,
         "a warm fold-in and history query freed heap memory"
     );
+}
+
+/// A cache hit through the engine's front door — snapshot `Arc`, key,
+/// cache lookup, hit stats and the shared response — makes zero heap
+/// events once the key is cached.
+#[test]
+fn engine_cache_hits_are_allocation_free() {
+    let (data, model) = fitted_model();
+    let engine = ServeEngine::new(ModelSnapshot::new(model, 1), ServeConfig::default());
+    let users = data.cuboid.num_users() as u32;
+    let queries: Vec<Query> =
+        (0..8u32).map(|i| Query { user: UserId(i % users), time: TimeId(i % 3), k: 5 }).collect();
+    for &q in &queries {
+        engine.query(q);
+    }
+
+    let allocs = allocation_events();
+    let deallocs = deallocation_events();
+    for round in 0..50 {
+        let response = engine.query(queries[round % queries.len()]);
+        assert_eq!(response.source, Source::CacheHit);
+    }
+    assert_eq!(allocation_events() - allocs, 0, "a warm cache hit allocated");
+    assert_eq!(deallocation_events() - deallocs, 0, "a warm cache hit freed heap memory");
+    assert_eq!(engine.stats().cache_hits, 50);
 }
 
 /// Warm EM iterations allocate nothing: a serial `fit_warm` run with
