@@ -17,32 +17,43 @@
 //! (Eq. 10): instead of giving every shard its own dense `T x V` copy
 //! (which would dwarf the E-step work on sparse data), each entry
 //! records its context posterior mass `c * post0` and a single
-//! entry-order scatter pass builds the numerator afterwards.
+//! entry-order scatter pass builds the numerator afterwards. The fitted
+//! model is the shared [`Tcam`] with [`ItemTime`] as its temporal side.
 
 use crate::config::{FitConfig, FitResult};
 use crate::em::{self, TemporalContext};
+use crate::tcam::{Tcam, TemporalParams};
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-use tcam_data::{RatingCuboid, TimeId, UserId};
-use tcam_math::{vecops, Matrix, Pcg64};
+use tcam_data::{RatingCuboid, TimeId};
+use tcam_math::{Matrix, Pcg64};
 
 /// A fitted item-based TCAM model.
+pub type ItcamModel = Tcam<ItemTime>;
+
+/// ITCAM's fitted temporal context.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ItcamModel {
-    /// `theta[u][z] = P(z | theta_u)`, shape `N x K1`.
-    theta: Matrix,
-    /// `phi[z][v] = P(v | phi_z)`, shape `K1 x V`.
-    phi: Matrix,
+pub struct ItemTime {
     /// `theta_t[t][v] = P(v | theta'_t)`, shape `T x V`.
     theta_t: Matrix,
-    /// Per-user mixing weight `lambda_u` (Eq. 11).
-    lambda: Vec<f64>,
-    /// Fixed background item distribution `theta_B` (empirical item
-    /// frequencies of the training cuboid).
-    background: Vec<f64>,
-    /// Background mixing weight `lambda_B` (0 = the paper's plain TCAM).
-    background_weight: f64,
+}
+
+impl TemporalParams for ItemTime {
+    const NAME: &'static str = "ITCAM";
+
+    fn theta_t(&self) -> &Matrix {
+        &self.theta_t
+    }
+
+    /// One factor per interval: its item multinomial.
+    fn factors(&self) -> &Matrix {
+        &self.theta_t
+    }
+
+    fn factors_at(&self, time: TimeId) -> impl Iterator<Item = (usize, f64)> + '_ {
+        std::iter::once((time.index(), 1.0))
+    }
 }
 
 /// ITCAM's temporal context during EM: `theta'_t` and its Eq. 10
@@ -110,143 +121,8 @@ impl ItcamModel {
         em::random_rows(&mut theta_t, &mut rng);
         let lambda = vec![config.initial_lambda; n];
         let temporal = ItemContext { theta_t, theta_t_num: Matrix::zeros(t_dim, v_dim) };
-        let fit = em::fit(cuboid, config, em::EmParams { theta, phi_item, lambda, temporal });
-        let (params, background) = fit.model;
-        // Convert the work layout to the row-major topic layout used by
-        // scoring and inspection.
-        let model = ItcamModel {
-            theta: params.theta,
-            phi: params.phi_item.transpose(),
-            theta_t: params.temporal.theta_t,
-            lambda: params.lambda,
-            background,
-            background_weight: config.background_weight,
-        };
-        Ok(FitResult { model, trace: fit.trace, converged: fit.converged })
-    }
-
-    /// Number of users `N`.
-    pub fn num_users(&self) -> usize {
-        self.theta.rows()
-    }
-
-    /// Number of user-oriented topics `K1`.
-    pub fn num_user_topics(&self) -> usize {
-        self.theta.cols()
-    }
-
-    /// Number of time intervals `T`.
-    pub fn num_times(&self) -> usize {
-        self.theta_t.rows()
-    }
-
-    /// Number of items `V`.
-    pub fn num_items(&self) -> usize {
-        self.phi.cols()
-    }
-
-    /// The mixing weight `lambda_u` of one user.
-    pub fn lambda(&self, user: UserId) -> f64 {
-        self.lambda[user.index()]
-    }
-
-    /// All mixing weights.
-    pub fn lambdas(&self) -> &[f64] {
-        &self.lambda
-    }
-
-    /// The fixed background item distribution `theta_B`.
-    pub fn background(&self) -> &[f64] {
-        &self.background
-    }
-
-    /// The background mixing weight `lambda_B`.
-    pub fn background_weight(&self) -> f64 {
-        self.background_weight
-    }
-
-    /// `P(z | theta_u)` — the user's interest distribution.
-    pub fn user_interest(&self, user: UserId) -> &[f64] {
-        self.theta.row(user.index())
-    }
-
-    /// `P(v | phi_z)` — a user-oriented topic's item distribution.
-    pub fn user_topic(&self, z: usize) -> &[f64] {
-        self.phi.row(z)
-    }
-
-    /// `P(v | theta'_t)` — the temporal context of interval `t`.
-    pub fn temporal_context(&self, time: TimeId) -> &[f64] {
-        self.theta_t.row(time.index())
-    }
-
-    /// The rating likelihood `P(v | u, t)` of Eq. 1.
-    pub fn predict(&self, user: UserId, time: TimeId, item: usize) -> f64 {
-        let u = user.index();
-        let lam = self.lambda[u];
-        let theta_u = self.theta.row(u);
-        let interest: f64 =
-            (0..self.num_user_topics()).map(|z| theta_u[z] * self.phi.get(z, item)).sum();
-        let lam_b = self.background_weight;
-        lam_b * self.background[item]
-            + (1.0 - lam_b) * (lam * interest + (1.0 - lam) * self.theta_t.get(time.index(), item))
-    }
-
-    /// Fills `scores[v] = P(v | u, t)` for all items (brute-force scan).
-    pub fn predict_all(&self, user: UserId, time: TimeId, scores: &mut [f64]) {
-        assert_eq!(scores.len(), self.num_items());
-        let u = user.index();
-        let lam = self.lambda[u];
-        let theta_u = self.theta.row(u);
-        scores.fill(0.0);
-        for z in 0..self.num_user_topics() {
-            let w = lam * theta_u[z];
-            if w == 0.0 {
-                continue;
-            }
-            vecops::scaled_add(scores, self.phi.row(z), w);
-        }
-        vecops::scaled_add(scores, self.theta_t.row(time.index()), 1.0 - lam);
-        let lam_b = self.background_weight;
-        if lam_b > 0.0 {
-            for s in scores.iter_mut() {
-                *s *= 1.0 - lam_b;
-            }
-            vecops::scaled_add(scores, &self.background, lam_b);
-        }
-    }
-
-    /// Data log-likelihood of an arbitrary cuboid under this model
-    /// (e.g., held-out perplexity). Cells the model assigns zero mass
-    /// are floored at `f64::MIN_POSITIVE`.
-    ///
-    /// Streams entries grouped per user (entries are `(u, t, v)` sorted):
-    /// `lambda_u`/`theta_u` are hoisted out of the inner loop and the
-    /// interest dot reads contiguous rows of an item-major transposed
-    /// copy of `phi`. Per-entry arithmetic order is identical to
-    /// [`Self::predict`], so the result is bitwise equal to the naive
-    /// per-entry evaluation (regression-tested).
-    pub fn log_likelihood(&self, cuboid: &RatingCuboid) -> f64 {
-        let phi_item = self.phi.transpose();
-        let lam_b = self.background_weight;
-        let mut ll = 0.0;
-        for u in 0..cuboid.num_users() {
-            let entries = cuboid.user_entries(UserId::from(u));
-            if entries.is_empty() {
-                continue;
-            }
-            let lam = self.lambda[u];
-            let theta_u = self.theta.row(u);
-            for r in entries {
-                let v = r.item.index();
-                let interest = vecops::dot(theta_u, phi_item.row(v));
-                let p = lam_b * self.background[v]
-                    + (1.0 - lam_b)
-                        * (lam * interest + (1.0 - lam) * self.theta_t.get(r.time.index(), v));
-                ll += r.value * p.max(f64::MIN_POSITIVE).ln();
-            }
-        }
-        ll
+        let init = em::EmParams { theta, phi_item, lambda, temporal };
+        Ok(Self::run_em(cuboid, config, init, |c| ItemTime { theta_t: c.theta_t }))
     }
 }
 
@@ -254,7 +130,7 @@ impl ItcamModel {
 mod tests {
     use super::*;
     use crate::ModelError;
-    use tcam_data::synth;
+    use tcam_data::{synth, UserId};
 
     fn fit_tiny(seed: u64, iters: usize) -> (tcam_data::SynthDataset, FitResult<ItcamModel>) {
         let data = synth::SynthDataset::generate(synth::tiny(seed)).unwrap();

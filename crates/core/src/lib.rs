@@ -14,7 +14,9 @@
 //! Training on a cuboid transformed by
 //! [`tcam_data::ItemWeighting`] yields the paper's **W-ITCAM** /
 //! **W-TTCAM** variants — the weighting is a data transform, not a
-//! different model, exactly as in Section 3.3.
+//! different model, exactly as in Section 3.3. Both variants are
+//! aliases of one fitted type, [`Tcam`]: the interest side they share
+//! plus the variant's temporal parameters.
 //!
 //! The E-step is embarrassingly parallel across ratings; [`FitConfig`]
 //! selects a thread count and the engine runs a fixed, data-dependent
@@ -36,12 +38,14 @@ pub mod inspect;
 pub mod itcam;
 pub mod model;
 pub mod parallel;
+pub mod tcam;
 pub mod ttcam;
 
 pub use config::{FitConfig, FitResult, FitTrace};
 pub use foldin::{FoldInRating, FoldScratch, FoldedUser};
 pub use inspect::{top_items, TopicSummary};
 pub use itcam::ItcamModel;
+pub use tcam::{Tcam, TemporalParams};
 pub use ttcam::TtcamModel;
 
 /// Errors from model fitting and use.

@@ -5,8 +5,6 @@
 //! recommendation; the query-efficiency study reloads models rather than
 //! refitting.
 
-use crate::itcam::ItcamModel;
-use crate::ttcam::TtcamModel;
 use crate::{ModelError, Result};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -24,20 +22,11 @@ pub fn load_model<M: serde::de::DeserializeOwned>(path: &Path) -> Result<M> {
     serde_json::from_reader(BufReader::new(file)).map_err(|e| ModelError::Io(e.to_string()))
 }
 
-/// Type-specific alias for loading an [`ItcamModel`].
-pub fn load_itcam(path: &Path) -> Result<ItcamModel> {
-    load_model(path)
-}
-
-/// Type-specific alias for loading a [`TtcamModel`].
-pub fn load_ttcam(path: &Path) -> Result<TtcamModel> {
-    load_model(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::FitConfig;
+    use crate::{ItcamModel, TtcamModel};
     use tcam_data::{synth, TimeId, UserId};
 
     #[test]
@@ -51,7 +40,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ttcam.json");
         save_model(&model, &path).unwrap();
-        let back = load_ttcam(&path).unwrap();
+        let back: TtcamModel = load_model(&path).unwrap();
         std::fs::remove_file(&path).ok();
 
         assert_eq!(back.num_users(), model.num_users());
@@ -72,7 +61,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("itcam.json");
         save_model(&model, &path).unwrap();
-        let back = load_itcam(&path).unwrap();
+        let back: ItcamModel = load_model(&path).unwrap();
         std::fs::remove_file(&path).ok();
 
         assert_eq!(back.lambdas(), model.lambdas());
@@ -81,7 +70,7 @@ mod tests {
     #[test]
     fn load_missing_is_io_error() {
         assert!(matches!(
-            load_ttcam(Path::new("/definitely/not/here.json")),
+            load_model::<TtcamModel>(Path::new("/definitely/not/here.json")),
             Err(ModelError::Io(_))
         ));
     }

@@ -9,64 +9,51 @@
 use std::ops::Range;
 use tcam_data::{RatingCuboid, UserId};
 
-/// Splits `0..num_users` into at most `num_threads` contiguous ranges
-/// with approximately equal total entry counts.
+/// Splits `0..cuboid.num_users()` into at most `num_threads` contiguous
+/// ranges with approximately equal total entry counts.
 pub fn balanced_user_shards(cuboid: &RatingCuboid, num_threads: usize) -> Vec<Range<usize>> {
-    let num_users = cuboid.num_users();
-    let total = cuboid.nnz();
-    let num_threads = num_threads.max(1);
-    if num_threads == 1 || total == 0 || num_users == 0 {
-        #[allow(clippy::single_range_in_vec_init)] // one shard covering all users
-        return vec![0..num_users];
+    let costs = (0..cuboid.num_users()).map(|u| cuboid.user_nnz(UserId::from(u)));
+    balanced_cut(costs, num_threads)
+}
+
+/// Splits `0..costs.len()` into at most `num_parts` contiguous ranges
+/// with approximately equal total cost: a range closes once its cost
+/// reaches `ceil(total / num_parts)`, and the last takes the rest. The
+/// one cut behind the EM shard plan and the serve batch split.
+pub fn balanced_cut<I>(costs: I, num_parts: usize) -> Vec<Range<usize>>
+where
+    I: ExactSizeIterator<Item = usize> + Clone,
+{
+    let n = costs.len();
+    let total: usize = costs.clone().sum();
+    let num_parts = num_parts.max(1);
+    if num_parts == 1 || total == 0 || n == 0 {
+        #[allow(clippy::single_range_in_vec_init)] // one part covering everything
+        return vec![0..n];
     }
-    let target = total.div_ceil(num_threads);
-    let mut shards = Vec::with_capacity(num_threads);
+    let target = total.div_ceil(num_parts);
+    let mut parts = Vec::with_capacity(num_parts);
     let mut start = 0usize;
     let mut acc = 0usize;
-    for u in 0..num_users {
-        acc += cuboid.user_nnz(UserId::from(u));
-        if acc >= target && shards.len() + 1 < num_threads {
-            shards.push(start..u + 1);
-            start = u + 1;
+    for (i, cost) in costs.enumerate() {
+        acc += cost;
+        if acc >= target && parts.len() + 1 < num_parts {
+            parts.push(start..i + 1);
+            start = i + 1;
             acc = 0;
         }
     }
-    if start < num_users || shards.is_empty() {
-        shards.push(start..num_users);
+    if start < n || parts.is_empty() {
+        parts.push(start..n);
     }
-    shards
-}
-
-/// Runs `work` once per shard on scoped threads and collects the results
-/// in shard order. With a single shard the work runs on the caller's
-/// thread (no spawn overhead for the serial configuration).
-pub fn run_sharded<S, F>(cuboid: &RatingCuboid, num_threads: usize, work: F) -> Vec<S>
-where
-    S: Send,
-    F: Fn(Range<usize>) -> S + Sync,
-{
-    let shards = balanced_user_shards(cuboid, num_threads);
-    if shards.len() == 1 {
-        let range = shards.into_iter().next().expect("one shard");
-        return vec![work(range)];
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|range| {
-                let work = &work;
-                scope.spawn(move || work(range))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("E-step worker panicked")).collect()
-    })
+    parts
 }
 
 /// Runs a fixed list of pre-built shard tasks on up to `num_threads`
 /// scoped threads, each task exactly once.
 ///
-/// Unlike [`run_sharded`], the *tasks* (not the partition) are chosen by
-/// the caller — the EM kernel builds one task per fixed shard carrying
+/// The *tasks* (not the partition) are chosen by the caller — the EM
+/// kernel builds one task per fixed shard carrying
 /// that shard's `&mut` scratch, so the work done per shard is identical
 /// for every thread count; threads only change which tasks run
 /// concurrently. Tasks are distributed as contiguous chunks (they are
@@ -150,30 +137,6 @@ mod tests {
     fn single_thread_single_shard() {
         let c = cuboid_with_counts(&[1, 2, 3]);
         assert_eq!(balanced_user_shards(&c, 1), vec![0..3]);
-    }
-
-    #[test]
-    fn run_sharded_collects_in_order() {
-        let c = cuboid_with_counts(&[2, 2, 2, 2]);
-        let results = run_sharded(&c, 4, |range| range.start);
-        let mut sorted = results.clone();
-        sorted.sort_unstable();
-        assert_eq!(results, sorted, "results arrive in shard order");
-    }
-
-    #[test]
-    fn run_sharded_sums_match_serial() {
-        let c = cuboid_with_counts(&[3, 1, 4, 1, 5, 9, 2, 6]);
-        let serial: usize =
-            run_sharded(&c, 1, |range| range.map(|u| c.user_nnz(UserId::from(u))).sum::<usize>())
-                .into_iter()
-                .sum();
-        let parallel: usize =
-            run_sharded(&c, 3, |range| range.map(|u| c.user_nnz(UserId::from(u))).sum::<usize>())
-                .into_iter()
-                .sum();
-        assert_eq!(serial, parallel);
-        assert_eq!(serial, c.nnz());
     }
 
     #[test]

@@ -16,10 +16,13 @@
 //! sparsity-aware: the context products `b[x] = theta'_t[x] * phi'_x[v]`
 //! depend only on `(t, v)`, so their normalizer is computed once per
 //! distinct pair of the cuboid's [`TimeItemIndex`] support into a
-//! shared read-only table and looked up per rating.
+//! shared read-only table and looked up per rating. The fitted model is
+//! the shared [`Tcam`] with [`TopicTime`] as its temporal side; warm
+//! starts, the publish gate and fold-in are TTCAM's alone.
 
 use crate::config::{FitConfig, FitResult};
 use crate::em::{self, TemporalContext};
+use crate::tcam::{Tcam, TemporalParams};
 use crate::{InvalidModel, ModelError, Result};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -27,23 +30,32 @@ use tcam_data::{RatingCuboid, TimeId, TimeItemIndex, UserId};
 use tcam_math::{vecops, Matrix, Pcg64};
 
 /// A fitted topic-based TCAM model.
+pub type TtcamModel = Tcam<TopicTime>;
+
+/// TTCAM's fitted temporal context.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TtcamModel {
-    /// `theta[u][z] = P(z | theta_u)`, shape `N x K1`.
-    theta: Matrix,
-    /// `phi[z][v] = P(v | phi_z)`, shape `K1 x V`.
-    phi: Matrix,
+pub struct TopicTime {
     /// `theta_t[t][x] = P(x | theta'_t)`, shape `T x K2`.
     theta_t: Matrix,
     /// `phi_t[x][v] = P(v | phi'_x)`, shape `K2 x V`.
     phi_t: Matrix,
-    /// Per-user mixing weight `lambda_u` (Eq. 11).
-    lambda: Vec<f64>,
-    /// Fixed background item distribution `theta_B` (empirical item
-    /// frequencies of the training cuboid).
-    background: Vec<f64>,
-    /// Background mixing weight `lambda_B` (0 = the paper's plain TCAM).
-    background_weight: f64,
+}
+
+impl TemporalParams for TopicTime {
+    const NAME: &'static str = "TTCAM";
+
+    fn theta_t(&self) -> &Matrix {
+        &self.theta_t
+    }
+
+    /// The `K2` time-oriented topics (Eq. 12).
+    fn factors(&self) -> &Matrix {
+        &self.phi_t
+    }
+
+    fn factors_at(&self, time: TimeId) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.theta_t.row(time.index()).iter().copied().enumerate()
+    }
 }
 
 /// TTCAM's temporal context during EM, with the buffers of its
@@ -87,6 +99,12 @@ impl TopicContext {
             phi_t_item,
             index,
         }
+    }
+
+    /// The fitted parameters, in the row-major topic layout used by
+    /// scoring.
+    fn fitted(self) -> TopicTime {
+        TopicTime { theta_t: self.theta_t, phi_t: self.phi_t_item.transpose() }
     }
 }
 
@@ -212,7 +230,8 @@ impl TtcamModel {
         let phi_t_item = em::init_item_major(v_dim, k2, &mut rng);
         let lambda = vec![config.initial_lambda; n];
         let temporal = TopicContext::new(cuboid, theta_t, phi_t_item);
-        Ok(Self::run_em(cuboid, config, em::EmParams { theta, phi_item, lambda, temporal }))
+        let init = em::EmParams { theta, phi_item, lambda, temporal };
+        Ok(Self::run_em(cuboid, config, init, TopicContext::fitted))
     }
 
     /// Fits TTCAM with EM **warm-started from a prior model's rows** —
@@ -281,75 +300,15 @@ impl TtcamModel {
         }
         let mut lambda = vec![config.initial_lambda; n];
         lambda[..prior.num_users()].copy_from_slice(prior.lambdas());
-        let temporal = TopicContext::new(cuboid, theta_t, prior.phi_t.transpose());
+        let temporal = TopicContext::new(cuboid, theta_t, prior.temporal.phi_t.transpose());
         let phi_item = prior.phi.transpose();
-        Ok(Self::run_em(cuboid, config, em::EmParams { theta, phi_item, lambda, temporal }))
-    }
-
-    /// Runs the shared EM loop from `init`, then converts the work
-    /// layout to the row-major topic layout used by scoring.
-    fn run_em(
-        cuboid: &RatingCuboid,
-        config: &FitConfig,
-        init: em::EmParams<TopicContext>,
-    ) -> FitResult<Self> {
-        let fit = em::fit(cuboid, config, init);
-        let (params, background) = fit.model;
-        let model = TtcamModel {
-            theta: params.theta,
-            phi: params.phi_item.transpose(),
-            theta_t: params.temporal.theta_t,
-            phi_t: params.temporal.phi_t_item.transpose(),
-            lambda: params.lambda,
-            background,
-            background_weight: config.background_weight,
-        };
-        FitResult { model, trace: fit.trace, converged: fit.converged }
-    }
-
-    /// Number of users `N`.
-    pub fn num_users(&self) -> usize {
-        self.theta.rows()
-    }
-
-    /// Number of user-oriented topics `K1`.
-    pub fn num_user_topics(&self) -> usize {
-        self.theta.cols()
+        let init = em::EmParams { theta, phi_item, lambda, temporal };
+        Ok(Self::run_em(cuboid, config, init, TopicContext::fitted))
     }
 
     /// Number of time-oriented topics `K2`.
     pub fn num_time_topics(&self) -> usize {
-        self.phi_t.rows()
-    }
-
-    /// Number of time intervals `T`.
-    pub fn num_times(&self) -> usize {
-        self.theta_t.rows()
-    }
-
-    /// Number of items `V`.
-    pub fn num_items(&self) -> usize {
-        self.phi.cols()
-    }
-
-    /// The mixing weight `lambda_u` of one user.
-    pub fn lambda(&self, user: UserId) -> f64 {
-        self.lambda[user.index()]
-    }
-
-    /// All mixing weights.
-    pub fn lambdas(&self) -> &[f64] {
-        &self.lambda
-    }
-
-    /// The fixed background item distribution `theta_B`.
-    pub fn background(&self) -> &[f64] {
-        &self.background
-    }
-
-    /// The background mixing weight `lambda_B`.
-    pub fn background_weight(&self) -> f64 {
-        self.background_weight
+        self.temporal.phi_t.rows()
     }
 
     /// Checks that the parameters describe a servable model: every
@@ -365,8 +324,8 @@ impl TtcamModel {
         let matrices = [
             ("theta", &self.theta, n, k1),
             ("phi", &self.phi, k1, v_dim),
-            ("theta_t", &self.theta_t, t_dim, k2),
-            ("phi_t", &self.phi_t, k2, v_dim),
+            ("theta_t", &self.temporal.theta_t, t_dim, k2),
+            ("phi_t", &self.temporal.phi_t, k2, v_dim),
         ];
         let shape = |param, expected, found| {
             if expected == found {
@@ -418,124 +377,23 @@ impl TtcamModel {
         Ok(())
     }
 
-    /// `P(z | theta_u)` — the user's interest distribution.
-    pub fn user_interest(&self, user: UserId) -> &[f64] {
-        self.theta.row(user.index())
-    }
-
-    /// `P(v | phi_z)` — a user-oriented topic's item distribution.
-    pub fn user_topic(&self, z: usize) -> &[f64] {
-        self.phi.row(z)
-    }
-
-    /// `P(x | theta'_t)` — the temporal context over time-oriented topics.
-    pub fn temporal_context(&self, time: TimeId) -> &[f64] {
-        self.theta_t.row(time.index())
-    }
-
     /// `P(v | phi'_x)` — a time-oriented topic's item distribution.
     pub fn time_topic(&self, x: usize) -> &[f64] {
-        self.phi_t.row(x)
+        self.temporal.phi_t.row(x)
     }
 
     /// Temporal popularity profile of time-oriented topic `x`: the mass
     /// `P(x | theta'_t)` across intervals, peak-normalized. This is the
     /// curve plotted in the paper's Figure 2 for a bursty topic.
     pub fn time_topic_profile(&self, x: usize) -> Vec<f64> {
-        let raw: Vec<f64> = (0..self.num_times()).map(|t| self.theta_t.get(t, x)).collect();
+        let raw: Vec<f64> =
+            (0..self.num_times()).map(|t| self.temporal.theta_t.get(t, x)).collect();
         let peak = raw.iter().cloned().fold(0.0, f64::max);
         if peak > 0.0 {
             raw.iter().map(|v| v / peak).collect()
         } else {
             raw
         }
-    }
-
-    /// The rating likelihood `P(v | u, t)` of Eq. 1 with Eq. 12.
-    pub fn predict(&self, user: UserId, time: TimeId, item: usize) -> f64 {
-        let u = user.index();
-        let t = time.index();
-        let lam = self.lambda[u];
-        let theta_u = self.theta.row(u);
-        let interest: f64 =
-            (0..self.num_user_topics()).map(|z| theta_u[z] * self.phi.get(z, item)).sum();
-        let theta_t = self.theta_t.row(t);
-        let context: f64 =
-            (0..self.num_time_topics()).map(|x| theta_t[x] * self.phi_t.get(x, item)).sum();
-        let lam_b = self.background_weight;
-        lam_b * self.background[item] + (1.0 - lam_b) * (lam * interest + (1.0 - lam) * context)
-    }
-
-    /// Fills `scores[v] = P(v | u, t)` for all items (brute-force scan).
-    pub fn predict_all(&self, user: UserId, time: TimeId, scores: &mut [f64]) {
-        assert_eq!(scores.len(), self.num_items());
-        let u = user.index();
-        let t = time.index();
-        let lam = self.lambda[u];
-        scores.fill(0.0);
-        let theta_u = self.theta.row(u);
-        for z in 0..self.num_user_topics() {
-            let w = lam * theta_u[z];
-            if w == 0.0 {
-                continue;
-            }
-            vecops::scaled_add(scores, self.phi.row(z), w);
-        }
-        let lam_b = self.background_weight;
-        let theta_t = self.theta_t.row(t);
-        for x in 0..self.num_time_topics() {
-            let w = (1.0 - lam) * theta_t[x];
-            if w == 0.0 {
-                continue;
-            }
-            vecops::scaled_add(scores, self.phi_t.row(x), w);
-        }
-        if lam_b > 0.0 {
-            for s in scores.iter_mut() {
-                *s *= 1.0 - lam_b;
-            }
-            vecops::scaled_add(scores, &self.background, lam_b);
-        }
-    }
-
-    /// Data log-likelihood of an arbitrary cuboid under this model.
-    ///
-    /// Streams entries grouped per `(u, t)` run (entries are `(u, t, v)`
-    /// sorted): `lambda_u`/`theta_u` and the interval's context row are
-    /// hoisted out of the inner loop, and both mixture dots read
-    /// contiguous rows of item-major transposed copies instead of
-    /// striding down the topic-major factors. Per-entry arithmetic order
-    /// is identical to [`Self::predict`], so the result is bitwise equal
-    /// to the naive per-entry evaluation (regression-tested).
-    pub fn log_likelihood(&self, cuboid: &RatingCuboid) -> f64 {
-        let phi_item = self.phi.transpose();
-        let phi_t_item = self.phi_t.transpose();
-        let lam_b = self.background_weight;
-        let mut ll = 0.0;
-        for u in 0..cuboid.num_users() {
-            let entries = cuboid.user_entries(UserId::from(u));
-            if entries.is_empty() {
-                continue;
-            }
-            let lam = self.lambda[u];
-            let theta_u = self.theta.row(u);
-            let mut cur_t = usize::MAX;
-            let mut theta_t_row: &[f64] = &[];
-            for r in entries {
-                let t = r.time.index();
-                if t != cur_t {
-                    cur_t = t;
-                    theta_t_row = self.theta_t.row(t);
-                }
-                let v = r.item.index();
-                let interest = vecops::dot(theta_u, phi_item.row(v));
-                let context = vecops::dot(theta_t_row, phi_t_item.row(v));
-                let p = lam_b * self.background[v]
-                    + (1.0 - lam_b) * (lam * interest + (1.0 - lam) * context);
-                ll += r.value * p.max(f64::MIN_POSITIVE).ln();
-            }
-        }
-        ll
     }
 }
 
@@ -664,8 +522,11 @@ mod tests {
             assert_eq!(serial.model.lambdas(), par.model.lambdas());
             assert_eq!(serial.model.theta.as_slice(), par.model.theta.as_slice());
             assert_eq!(serial.model.phi.as_slice(), par.model.phi.as_slice());
-            assert_eq!(serial.model.theta_t.as_slice(), par.model.theta_t.as_slice());
-            assert_eq!(serial.model.phi_t.as_slice(), par.model.phi_t.as_slice());
+            assert_eq!(
+                serial.model.temporal.theta_t.as_slice(),
+                par.model.temporal.theta_t.as_slice()
+            );
+            assert_eq!(serial.model.temporal.phi_t.as_slice(), par.model.temporal.phi_t.as_slice());
         }
         // Warm-starting consumes no RNG: re-running reproduces itself.
         let again = TtcamModel::fit_warm(&data.cuboid, &config, &prior).unwrap();
@@ -771,7 +632,7 @@ mod tests {
             prior.phi.set(z, v, 1e-310);
         }
         for x in 0..prior.num_time_topics() {
-            prior.phi_t.set(x, v, 1e-310);
+            prior.temporal.phi_t.set(x, v, 1e-310);
         }
         let warm = TtcamModel::fit_warm(&data.cuboid, &config, &prior).unwrap();
         assert_eq!(warm.trace.len(), 3);

@@ -1,7 +1,7 @@
 //! Scoring traits and their implementations for every model.
 
 use tcam_baselines::{Bprmf, Bptf, MostPopular, TimePopular, TimeTopicModel, UserTopicModel};
-use tcam_core::{FoldedUser, ItcamModel, TtcamModel};
+use tcam_core::{FoldedUser, Tcam, TemporalParams, TtcamModel};
 use tcam_data::{TimeId, UserId};
 
 /// A model that can rank all items for a temporal query `q = (u, t)`.
@@ -110,12 +110,12 @@ impl<M: FactoredScorer> FactoredScorer for Named<M> {
 // TCAM models
 // ---------------------------------------------------------------------
 
-impl TemporalScorer for ItcamModel {
+impl<C: TemporalParams> TemporalScorer for Tcam<C> {
     fn name(&self) -> &str {
-        "ITCAM"
+        C::NAME
     }
     fn num_items(&self) -> usize {
-        ItcamModel::num_items(self)
+        Tcam::num_items(self)
     }
     fn score(&self, user: UserId, time: TimeId, item: usize) -> f64 {
         self.predict(user, time, item)
@@ -125,85 +125,38 @@ impl TemporalScorer for ItcamModel {
     }
 }
 
-impl FactoredScorer for ItcamModel {
-    /// ITCAM's expanded space: `K1` user topics, one factor per
-    /// interval (the interval's item multinomial), plus the background.
+impl<C: TemporalParams> FactoredScorer for Tcam<C> {
+    /// The expanded space of Eq. 21: `K1` user topics, then the
+    /// variant's temporal factors (TTCAM's `K2` time topics, ITCAM's
+    /// `T` interval multinomials), then one background factor (weight 0
+    /// in the paper's plain TCAM).
     fn num_factors(&self) -> usize {
-        self.num_user_topics() + self.num_times() + 1
+        self.num_user_topics() + self.temporal().factors().rows() + 1
     }
     fn factor_items(&self, z: usize) -> &[f64] {
         let k1 = self.num_user_topics();
+        let factors = self.temporal().factors();
         if z < k1 {
             self.user_topic(z)
-        } else if z < k1 + self.num_times() {
-            self.temporal_context(TimeId::from(z - k1))
+        } else if z < k1 + factors.rows() {
+            factors.row(z - k1)
         } else {
             self.background()
         }
     }
     fn query_factors_into(&self, user: UserId, time: TimeId, out: &mut Vec<(usize, f64)>) {
-        out.clear();
-        let lam = self.lambda(user);
-        let lam_b = self.background_weight();
-        let k1 = self.num_user_topics();
-        out.extend(
-            self.user_interest(user)
-                .iter()
-                .enumerate()
-                .filter(|(_, &w)| w > 0.0)
-                .map(|(z, &w)| (z, (1.0 - lam_b) * lam * w)),
-        );
-        out.push((k1 + time.index(), (1.0 - lam_b) * (1.0 - lam)));
-        if lam_b > 0.0 {
-            out.push((k1 + self.num_times(), lam_b));
-        }
+        factors_into(self, self.user_interest(user), self.lambda(user), time, out);
     }
 }
 
-impl TemporalScorer for TtcamModel {
-    fn name(&self) -> &str {
-        "TTCAM"
-    }
-    fn num_items(&self) -> usize {
-        TtcamModel::num_items(self)
-    }
-    fn score(&self, user: UserId, time: TimeId, item: usize) -> f64 {
-        self.predict(user, time, item)
-    }
-    fn score_all(&self, user: UserId, time: TimeId, out: &mut [f64]) {
-        self.predict_all(user, time, out);
-    }
-}
-
-impl FactoredScorer for TtcamModel {
-    /// TTCAM's expanded space is Eq. 21 — `K1 + K2` topic factors —
-    /// plus one background factor (weight 0 in the paper's plain TCAM).
-    fn num_factors(&self) -> usize {
-        self.num_user_topics() + self.num_time_topics() + 1
-    }
-    fn factor_items(&self, z: usize) -> &[f64] {
-        let k1 = self.num_user_topics();
-        if z < k1 {
-            self.user_topic(z)
-        } else if z < k1 + self.num_time_topics() {
-            self.time_topic(z - k1)
-        } else {
-            self.background()
-        }
-    }
-    fn query_factors_into(&self, user: UserId, time: TimeId, out: &mut Vec<(usize, f64)>) {
-        ttcam_factors_into(self, self.user_interest(user), self.lambda(user), time, out);
-    }
-}
-
-/// TTCAM's `vartheta_q` for a user with interest `theta_u` = `interest`
-/// and mixing weight `lambda`, the one layout fitted and folded users
+/// `vartheta_q` for a user with interest `theta_u` = `interest` and
+/// mixing weight `lambda`, the one layout fitted and folded users
 /// share: `(1 - lambda_B) * lambda * theta_u[z]` for each `theta_u[z] >
-/// 0`, then `(1 - lambda_B) * (1 - lambda) * theta'_t[x]` for each
-/// `theta'_t[x] > 0`, then `lambda_B` on the background list when
-/// `lambda_B > 0`.
-fn ttcam_factors_into(
-    model: &TtcamModel,
+/// 0`, then `(1 - lambda_B) * (1 - lambda) * w` for each of interval
+/// `t`'s temporal factors with weight `w > 0`, then `lambda_B` on the
+/// background list when `lambda_B > 0`.
+fn factors_into<C: TemporalParams>(
+    model: &Tcam<C>,
     interest: &[f64],
     lambda: f64,
     time: TimeId,
@@ -212,7 +165,6 @@ fn ttcam_factors_into(
     out.clear();
     let lam_b = model.background_weight();
     let k1 = model.num_user_topics();
-    let k2 = model.num_time_topics();
     out.extend(
         interest
             .iter()
@@ -222,14 +174,13 @@ fn ttcam_factors_into(
     );
     out.extend(
         model
-            .temporal_context(time)
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w > 0.0)
-            .map(|(x, &w)| (k1 + x, (1.0 - lam_b) * (1.0 - lambda) * w)),
+            .temporal()
+            .factors_at(time)
+            .filter(|&(_, w)| w > 0.0)
+            .map(|(x, w)| (k1 + x, (1.0 - lam_b) * (1.0 - lambda) * w)),
     );
     if lam_b > 0.0 {
-        out.push((k1 + k2, lam_b));
+        out.push((k1 + model.temporal().factors().rows(), lam_b));
     }
 }
 
@@ -278,7 +229,7 @@ impl FactoredScorer for FoldedScorer<'_> {
         self.model.factor_items(z)
     }
     fn query_factors_into(&self, _user: UserId, time: TimeId, out: &mut Vec<(usize, f64)>) {
-        ttcam_factors_into(self.model, &self.folded.interest, self.folded.lambda, time, out);
+        factors_into(self.model, &self.folded.interest, self.folded.lambda, time, out);
     }
 }
 
@@ -404,7 +355,7 @@ impl TemporalScorer for TimePopular {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcam_core::{FitConfig, FoldInRating};
+    use tcam_core::{FitConfig, FoldInRating, ItcamModel};
     use tcam_data::synth;
 
     #[test]

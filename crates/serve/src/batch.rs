@@ -1,41 +1,17 @@
-//! Batch sharding.
-//!
-//! Mirrors `tcam_core::parallel::balanced_user_shards`: contiguous
-//! ranges balanced by estimated per-item cost rather than item count.
-//! For queries the cost proxy is `k` — a larger result heap means more
-//! TA rounds — so a batch mixing `k=1` probes with `k=100` exports
-//! still splits evenly.
+//! Batch sharding: contiguous ranges balanced by estimated per-query
+//! cost rather than query count, through the same cut as the EM shard
+//! plan (`tcam_core::parallel::balanced_cut`). The cost proxy is `k` —
+//! a larger result heap means more TA rounds — so a batch mixing `k=1`
+//! probes with `k=100` exports still splits evenly.
 
 use crate::engine::Query;
 use std::ops::Range;
+use tcam_core::parallel::balanced_cut;
 
 /// Splits `0..queries.len()` into at most `num_threads` contiguous
 /// ranges with approximately equal total `k`.
 pub fn balanced_query_shards(queries: &[Query], num_threads: usize) -> Vec<Range<usize>> {
-    let n = queries.len();
-    let cost = |q: &Query| q.k.max(1);
-    let total: usize = queries.iter().map(cost).sum();
-    let num_threads = num_threads.max(1);
-    if num_threads == 1 || n == 0 {
-        #[allow(clippy::single_range_in_vec_init)] // one shard covering the batch
-        return vec![0..n];
-    }
-    let target = total.div_ceil(num_threads);
-    let mut shards = Vec::with_capacity(num_threads);
-    let mut start = 0usize;
-    let mut acc = 0usize;
-    for (i, q) in queries.iter().enumerate() {
-        acc += cost(q);
-        if acc >= target && shards.len() + 1 < num_threads {
-            shards.push(start..i + 1);
-            start = i + 1;
-            acc = 0;
-        }
-    }
-    if start < n || shards.is_empty() {
-        shards.push(start..n);
-    }
-    shards
+    balanced_cut(queries.iter().map(|q| q.k.max(1)), num_threads)
 }
 
 #[cfg(test)]

@@ -294,7 +294,7 @@ fn corrupted(model: &TtcamModel, field: &str, replacement: &str) -> TtcamModel {
     }
     let edited = format!("{}{replacement}{}", &json[..first], &json[end..]);
     std::fs::write(&path, edited).expect("write");
-    let back = tcam::core::model::load_ttcam(&path).expect("still parses");
+    let back = tcam::core::model::load_model::<TtcamModel>(&path).expect("still parses");
     std::fs::remove_file(&path).ok();
     back
 }

@@ -2,7 +2,9 @@
 //! fitted models must survive JSON serialization bit-for-bit so the
 //! offline-training / online-serving split (paper Section 4) works.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use tcam::core::model::{load_model, save_model};
+use tcam::core::{Tcam, TemporalParams};
 use tcam::prelude::*;
 
 fn tmp(name: &str) -> PathBuf {
@@ -69,8 +71,8 @@ fn fitted_models_round_trip_and_predict_identically() {
 
     let ttcam = TtcamModel::fit(&data.cuboid, &config).expect("fit").model;
     let path = tmp("ttcam.json");
-    tcam::core::model::save_model(&ttcam, &path).expect("save");
-    let back = tcam::core::model::load_ttcam(&path).expect("load");
+    save_model(&ttcam, &path).expect("save");
+    let back = load_model::<TtcamModel>(&path).expect("load");
     for u in (0..data.cuboid.num_users()).step_by(11) {
         for t in 0..data.cuboid.num_times() {
             for v in (0..data.cuboid.num_items()).step_by(7) {
@@ -85,6 +87,99 @@ fn fitted_models_round_trip_and_predict_identically() {
 }
 
 #[test]
+fn both_variants_resave_byte_identically_in_one_layout() {
+    let data = SynthDataset::generate(tcam::data::synth::tiny(46)).expect("gen");
+    let config = FitConfig::default()
+        .with_user_topics(4)
+        .with_time_topics(3)
+        .with_iterations(5)
+        .with_seed(46)
+        .with_background(0.1);
+    let itcam = ItcamModel::fit(&data.cuboid, &config).expect("fit").model;
+    let ttcam = TtcamModel::fit(&data.cuboid, &config).expect("fit").model;
+    let shared = ["theta", "phi", "theta_t", "lambda", "background", "background_weight"];
+    let mut ttcam_keys = shared.to_vec();
+    ttcam_keys.insert(3, "phi_t");
+    assert_resaves(
+        &itcam,
+        "itcam",
+        &shared,
+        |m, path| save_model(m, path).expect("save"),
+        |path| load_model(path).expect("load"),
+    );
+    assert_resaves(
+        &ttcam,
+        "ttcam",
+        &ttcam_keys,
+        |m, path| save_model(m, path).expect("save"),
+        |path| load_model(path).expect("load"),
+    );
+}
+
+/// Save -> load -> save: both files are byte-identical, their top-level
+/// keys are `keys` in order, and every parameter's bits survive.
+fn assert_resaves<C: TemporalParams>(
+    model: &Tcam<C>,
+    name: &str,
+    keys: &[&str],
+    save: fn(&Tcam<C>, &Path),
+    load: fn(&Path) -> Tcam<C>,
+) {
+    let (first, second) = (tmp(&format!("{name}-first.json")), tmp(&format!("{name}-second.json")));
+    save(model, &first);
+    let back = load(&first);
+    save(&back, &second);
+    let json = std::fs::read_to_string(&first).expect("read");
+    assert_eq!(json, std::fs::read_to_string(&second).expect("read"), "{name} resave");
+    assert_eq!(top_level_keys(&json), keys, "{name} layout");
+    assert_eq!(param_bits(&back), param_bits(model), "{name} parameters");
+    std::fs::remove_file(&first).ok();
+    std::fs::remove_file(&second).ok();
+}
+
+/// The keys of a compact JSON object's outermost level (the model files
+/// hold strings only as keys).
+fn top_level_keys(json: &str) -> Vec<&str> {
+    let mut keys = Vec::new();
+    let mut depth = 0;
+    let mut i = 0;
+    while i < json.len() {
+        match json.as_bytes()[i] {
+            b'{' | b'[' => depth += 1,
+            b'}' | b']' => depth -= 1,
+            b'"' => {
+                let end = i + 1 + json[i + 1..].find('"').expect("closing quote");
+                if depth == 1 {
+                    keys.push(&json[i + 1..end]);
+                }
+                i = end;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    keys
+}
+
+/// Every fitted parameter's dimensions and bits.
+fn param_bits<C: TemporalParams>(m: &Tcam<C>) -> Vec<u64> {
+    let (theta_t, factors) = (m.temporal().theta_t(), m.temporal().factors());
+    let dims = [m.num_users(), m.num_user_topics(), m.num_items(), theta_t.rows(), theta_t.cols()]
+        .into_iter()
+        .chain([factors.rows(), factors.cols()])
+        .map(|d| d as u64);
+    let weight = m.background_weight();
+    let values = (0..m.num_users())
+        .map(|u| m.user_interest(UserId::from(u)))
+        .chain((0..m.num_user_topics()).map(|z| m.user_topic(z)))
+        .chain([theta_t.as_slice(), factors.as_slice(), m.lambdas(), m.background()])
+        .chain([std::slice::from_ref(&weight)])
+        .flatten()
+        .map(|x| x.to_bits());
+    dims.chain(values).collect()
+}
+
+#[test]
 fn ta_index_identical_after_model_reload() {
     // The serving-side invariant: rebuild the TA index from a reloaded
     // model and get identical recommendations.
@@ -96,8 +191,8 @@ fn ta_index_identical_after_model_reload() {
         .with_seed(45);
     let model = TtcamModel::fit(&data.cuboid, &config).expect("fit").model;
     let path = tmp("serving.json");
-    tcam::core::model::save_model(&model, &path).expect("save");
-    let reloaded = tcam::core::model::load_ttcam(&path).expect("load");
+    save_model(&model, &path).expect("save");
+    let reloaded = load_model::<TtcamModel>(&path).expect("load");
 
     let index_a = TaIndex::build(&model);
     let index_b = TaIndex::build(&reloaded);
